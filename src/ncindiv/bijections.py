@@ -15,10 +15,9 @@ arc poset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .nc import NoncrossingElement, kreweras
-from .perm import KParams, Permutation, from_cycles
+from .perm import KParams, from_cycles
 
 PlaneTree = tuple  # nested tuples; a leaf is ()
 

@@ -8,16 +8,13 @@ deterministic for fixed flags: enumerations are sorted and no
 timestamps appear in any data stream.
 
 Exit codes: 0 on success, 1 when `verify` finds a failing check, 2 on
-usage errors.  The environment variable NCPK_THREADS caps worker
-parallelism; all current subcommands are single-threaded, so it is
-validated and otherwise ignored.
+usage errors, refusals and unwritable output files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .bijections import (
@@ -42,24 +39,13 @@ from .geometry import build_cambrian
 from .hurwitz import orbit_and_class_report
 from .mdivisible import build_mdiv_poset
 from .nc import enumerate_nc
-from .perm import KParams, format_cycles
+from .perm import KParams
 from .poset import build_poset
 from .typeb import typeb_report
 from .verify import format_report, run_suite, suite_report
 
 FULL_POSET_MAX_N = 13  # refuse rather than hang on oversized builds
 DEFAULT_MAX_STATES = 10_000_000
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("NCPK_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise SystemExit(f"NCPK_THREADS must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise SystemExit("NCPK_THREADS must be >= 1")
-    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -405,12 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, RuntimeError) as exc:
+    except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -180,12 +180,6 @@ def mdiv_mobius_bar(n: int, k: int, m: int) -> int:
     return (-1) ** n * (raney(n, k * (m + 1), m) - raney(n, k * m, m - 1))
 
 
-def determinant_prediction(n: int, k: int) -> int:
-    """Value of the n x n Hankel-style determinant
-    det(C((n-j)k + 2, j - i + 1)), predicted to equal Ran(n, k+1, 2)."""
-    return raney(n, k + 1, 2)
-
-
 def nc_matrix(n: int, k: int) -> list[list[int]]:
     """The n x n matrix M with M[i][j] = C((n-j)k + 2, j - i + 1) for
     1-based i, j, whose determinant counts the poset."""

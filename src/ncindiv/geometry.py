@@ -30,7 +30,7 @@ from .hurwitz import (
     enumerate_factorizations,
     factorization_product,
 )
-from .perm import KParams, Permutation, format_cycles, from_cycles, long_cycle
+from .perm import KParams, format_cycles, from_cycles, long_cycle
 from .poset import HasseDiagram, transitive_reduction
 
 

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .counting import chain_count
-from .perm import KParams, Permutation, format_cycles, from_cycles, long_cycle
+from .perm import KParams, Permutation, from_cycles, long_cycle
 from .poset import build_poset
 
 Factorization = tuple[Permutation, ...]

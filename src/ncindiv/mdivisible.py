@@ -5,19 +5,36 @@ k-indivisible noncrossing partitions of [N].  Writing x_0 = identity
 and x_{m+1} = long cycle, the delta sequence of a multichain is
 d_i = x_i^{-1} x_{i+1} for i = 0..m.  The order reverses the deltas
 componentwise away from d_0: C <= C' iff d_i >= d'_i in the
-(k+1)-cycle order for every i in 1..m.  The maximum is the constant
-chain at the long cycle; there are many minimal elements, so Mobius
-invariants are studied on two completions: with an artificial bottom
-adjoined (hat) and with all minimal elements identified (bar).
+(k+1)-cycle order for every i in 1..m.
+
+Each of the deltas d_1..d_m is itself an element of the base poset:
+x_i <= x_{i+1} <= c gives x_i^{-1} x_{i+1} <= x_i^{-1} c <= c.  So the
+order is read off the base poset's closure, with no pairwise test: the
+chains below C' are those whose i-th delta lies in the base up-set of
+d'_i for every i.  mchain_leq keeps the direct definition as an oracle.
+
+The maximum is the constant chain at the long cycle; there are many
+minimal elements, so Mobius invariants are studied on two completions:
+with an artificial bottom adjoined (hat) and with all minimal elements
+identified (bar).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import and_
 
 from .perm import KParams, Permutation, ell_k, format_cycles, long_cycle
-from .poset import HasseDiagram, _bits, build_poset, leq_nc, transitive_reduction
+from .poset import (
+    HasseDiagram,
+    _bits,
+    _cover_pairs,
+    _up_from_down,
+    build_poset,
+    leq_nc,
+    transitive_reduction,
+)
 
 
 @dataclass(frozen=True)
@@ -57,31 +74,6 @@ def mchain_leq(c1: MChain, c2: MChain) -> bool:
     return all(leq_nc(b, a, k) for a, b in zip(d1[1:], d2[1:]))
 
 
-def _hasse_from_leq(elements, leq_fn, rank=None, labels=None) -> HasseDiagram:
-    """Build a Hasse diagram from an explicit order predicate."""
-    size = len(elements)
-    down = [1 << i for i in range(size)]
-    up = [1 << i for i in range(size)]
-    for i in range(size):
-        for j in range(size):
-            if i != j and leq_fn(elements[i], elements[j]):
-                down[j] |= 1 << i
-                up[i] |= 1 << j
-    covers = []
-    for j in range(size):
-        for i in _bits(down[j]):
-            if i != j and down[j] & up[i] == (1 << i | 1 << j):
-                covers.append((i, j))
-    return HasseDiagram(
-        elements=tuple(elements),
-        covers=tuple(covers),
-        rank=rank,
-        labels=labels,
-        down=tuple(down),
-        up=tuple(up),
-    )
-
-
 @lru_cache(maxsize=None)
 def build_mdiv_poset(params: KParams, m: int) -> HasseDiagram:
     """Poset of m-divisible k-indivisible noncrossing partitions."""
@@ -102,56 +94,28 @@ def build_mdiv_poset(params: KParams, m: int) -> HasseDiagram:
     for i in range(len(base)):
         extend([i])
     rank = tuple(c.rank for c in chains)
-    return _hasse_from_leq(chains, _fast_mchain_leq(chains, params.k), rank=rank)
-
-
-def _ell_img(image: tuple[int, ...], k: int) -> int | None:
-    """Word length over (k+1)-cycles for an image tuple, or None when
-    some cycle length is not 1 mod k."""
-    K = len(image)
-    seen = [False] * K
-    cycles = 0
-    for start in range(K):
-        if seen[start]:
-            continue
-        cycles += 1
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            length += 1
-            x = image[x] - 1
-        if length % k != 1 % k:
-            return None
-    return (K - cycles) // k
-
-
-def _fast_mchain_leq(chains: list[MChain], k: int):
-    """Precompute delta data and return an index-free order predicate
-    equivalent to mchain_leq."""
-    data = []
-    for c in chains:
-        deltas = c.deltas()[1:]
-        entry = []
-        for d in deltas:
-            ell = _ell_img(d.image, k)
-            assert ell is not None
-            entry.append((d.image, d.inverse().image, ell))
-        data.append(entry)
-    lookup = {id(c): row for c, row in zip(chains, data)}
-
-    def leq(c1: MChain, c2: MChain) -> bool:
-        # c1 <= c2 iff each delta of c2 divides the matching delta of c1
-        for (a_img, _a_inv, a_ell), (_b_img, b_inv, b_ell) in zip(
-            lookup[id(c1)], lookup[id(c2)]
-        ):
-            q_img = tuple(b_inv[y - 1] for y in a_img)
-            q_ell = _ell_img(q_img, k)
-            if q_ell is None or b_ell + q_ell != a_ell:
-                return False
-        return True
-
-    return leq
+    index = {e.perm.image: f for f, e in enumerate(base.elements)}
+    deltas = [[index[d.image] for d in c.deltas()[1:]] for c in chains]
+    # with_delta[i][f]: chains whose delta d_{i+1} is base element f
+    with_delta = [[0] * len(base) for _ in range(m)]
+    for c, row in enumerate(deltas):
+        for i, f in enumerate(row):
+            with_delta[i][f] |= 1 << c
+    # above[i][g]: chains whose delta d_{i+1} is >= g; the masks summed
+    # are disjoint, so their sum is their union
+    above = [
+        [sum(masks[f] for f in _bits(up)) for up in base.up]
+        for masks in with_delta
+    ]
+    down = [reduce(and_, (above[i][g] for i, g in enumerate(row))) for row in deltas]
+    up = _up_from_down(down)
+    return HasseDiagram(
+        elements=tuple(chains),
+        covers=_cover_pairs(down, up),
+        rank=rank,
+        down=tuple(down),
+        up=up,
+    )
 
 
 def with_bottom(poset: HasseDiagram) -> HasseDiagram:

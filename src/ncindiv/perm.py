@@ -64,9 +64,6 @@ class Permutation:
             inv[y - 1] = x
         return Permutation(tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.image, start=1))
-
     def cycles(self, with_fixed_points: bool = True) -> tuple[tuple[int, ...], ...]:
         """Canonical cycle decomposition: each cycle starts at its
         minimum, cycles sorted by minima."""

@@ -3,9 +3,7 @@ Mobius values, and the poset of k-indivisible noncrossing partitions.
 
 Order relations are stored as per-element bitmasks over the element
 indices, which keeps the desk-scale posets (a few thousand elements)
-cheap to query.  Counting that needs a full relation matrix is done
-with an integer numpy matrix; all counts stay far below 2^63 at the
-sizes this module is used for.
+cheap to query.  Counts are exact Python integers.
 """
 
 from __future__ import annotations
@@ -15,9 +13,7 @@ import io
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
-from .nc import NoncrossingElement, enumerate_nc
+from .nc import enumerate_nc
 from .perm import KParams, Permutation, covers_below, ell_k
 
 
@@ -117,28 +113,18 @@ class HasseDiagram:
         walk(self.bottom(), [])
         return out
 
-    def _leq_matrix(self) -> np.ndarray:
-        size = len(self)
-        nbytes = (size + 7) // 8
-        rows = np.frombuffer(
-            b"".join(d.to_bytes(nbytes, "little") for d in self.down),
-            dtype=np.uint8,
-        ).reshape(size, nbytes)
-        return np.unpackbits(rows, axis=1, bitorder="little", count=size)
-
     def multichain_count(self, q: int) -> int:
         """Number of multichains x_1 <= ... <= x_q (q >= 0)."""
         if q < 0:
             raise ValueError("q must be nonnegative")
         if q == 0:
             return 1
-        matrix = self._leq_matrix().astype(np.int64)
-        vec = np.ones(len(self), dtype=np.int64)
+        # counts[j]: multichains of the current length ending at j
+        below = [list(_bits(d)) for d in self.down]
+        counts = [1] * len(self)
         for _ in range(q - 1):
-            vec = matrix @ vec
-            if vec.max() > 2**60:
-                raise OverflowError("multichain count exceeds exact int64 range")
-        return int(vec.sum())
+            counts = [sum(map(counts.__getitem__, b)) for b in below]
+        return sum(counts)
 
     def multichain_jump_census(self, q: int) -> dict[tuple[int, ...], int]:
         """Census of q-element multichains by rank-jump profile
@@ -233,25 +219,32 @@ def _closure(size: int, covers: tuple[tuple[int, int], ...]):
     for j in order:
         for i in children.get(j, []):
             down[j] |= down[i]
-    up = [1 << i for i in range(size)]
-    for j in range(size):
-        for i in _bits(down[j]):
-            if i != j:
-                up[i] |= 1 << j
-    return tuple(down), tuple(up)
+    return tuple(down), _up_from_down(down)
+
+
+def _up_from_down(down) -> tuple[int, ...]:
+    """The weakly-above masks of an order given by its weakly-below masks."""
+    up = [1 << i for i in range(len(down))]
+    for j, mask in enumerate(down):
+        for i in _bits(mask & ~(1 << j)):
+            up[i] |= 1 << j
+    return tuple(up)
+
+
+def _cover_pairs(down, up) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j) of an order given by its masks, j-major: i is
+    covered by j iff nothing else lies in the interval [i, j]."""
+    return tuple(
+        (i, j)
+        for j, mask in enumerate(down)
+        for i in _bits(mask)
+        if i != j and mask & up[i] == (1 << i | 1 << j)
+    )
 
 
 def transitive_reduction(size: int, edges: set[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Cover pairs of the partial order generated by an acyclic edge set."""
-    down, _up = _closure(size, tuple(edges))
-    covers = []
-    for i, j in sorted(edges):
-        between = down[j] & ~down[i] & ~(1 << j)
-        # i < z < j exists iff some z above i (strictly) sits strictly below j
-        strict = [z for z in _bits(between) if z != i and down[z] >> i & 1]
-        if not strict:
-            covers.append((i, j))
-    return tuple(covers)
+    """Cover pairs, sorted, of the partial order generated by an acyclic edge set."""
+    return tuple(sorted(_cover_pairs(*_closure(size, tuple(edges)))))
 
 
 def refines(u: Permutation, w: Permutation) -> bool:

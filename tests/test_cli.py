@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -117,10 +118,32 @@ def test_oversize_refusal(capsys):
     assert "refusing" in capsys.readouterr().err
 
 
-def test_thread_env_validation(monkeypatch, capsys):
-    monkeypatch.setenv("NCPK_THREADS", "2")
-    assert main(["count", "--k", "1", "--n", "1"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("NCPK_THREADS", "zero")
-    with pytest.raises(SystemExit):
-        main(["count", "--k", "1", "--n", "1"])
+def test_unwritable_out_is_a_refusal(tmp_path, capsys):
+    target = tmp_path / "missing" / "f"
+    code = main(["count", "--k", "1", "--n", "3", "--out", str(target)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+# SHA-256 of exports whose bytes must not change: element order, labels
+# and cover order all show in them
+PINNED_STDOUT = {
+    ("mdiv", "--k", "1", "--n", "4", "--m", "3", "--format", "dot"):
+        "b38c77c491f4ada63ac1b39cfcda704f764de1dd4767087feab179c712cfc8b9",
+    ("mdiv", "--k", "2", "--n", "3", "--m", "3", "--format", "json"):
+        "9a1222705f283c975cf132dcd25c70ccd4c48ce961215882e1f35d71f52e5199",
+    ("cambrian", "--k", "1", "--n", "5", "--format", "dot"):
+        "9fa49bf748ee9a9000924f2f22029e80b6db1ef56893c6c3f303f51cb713da80",
+    ("poset", "--k", "2", "--n", "3", "--format", "dot"):
+        "62a7faf5d32a3203340c358d2fd14a01be770257ceebcfdab020fe6cbf6a93e0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+def test_pinned_stdout(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]

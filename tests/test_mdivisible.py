@@ -18,6 +18,8 @@ from ncindiv.mdivisible import (
 from ncindiv.perm import KParams, ell_k, from_cycles, identity, long_cycle
 
 PARAMS = [(k, n, m) for k in (1, 2) for n in (1, 2, 3) for m in (1, 2, 3)]
+# cases small enough to compare every pair against the delta predicate
+SMALL_PARAMS = [(k, n, m) for k, n, m in PARAMS if mdiv_cardinality(n, k, m) <= 150]
 
 
 def test_delta_sequence():
@@ -37,6 +39,15 @@ def test_order_has_constant_top():
     assert all(x == long_cycle(5) for x in top.chain)
     # every element is below the top, per the raw predicate too
     assert all(mchain_leq(c, top) for c in poset.elements)
+
+
+@pytest.mark.parametrize("k,n,m", SMALL_PARAMS)
+def test_order_matches_delta_predicate(k, n, m):
+    poset = build_mdiv_poset(KParams(k, n), m)
+    chains = poset.elements
+    for i, c1 in enumerate(chains):
+        for j, c2 in enumerate(chains):
+            assert poset.is_leq(i, j) == mchain_leq(c1, c2)
 
 
 @pytest.mark.parametrize("k,n,m", PARAMS)

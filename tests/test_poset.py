@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ncindiv.counting import (
@@ -53,6 +55,16 @@ def test_closure_rejects_cycles():
 def test_transitive_reduction_drops_implied_edges():
     edges = {(0, 1), (1, 2), (0, 2)}
     assert transitive_reduction(3, edges) == ((0, 1), (1, 2))
+
+
+def test_multichain_count_is_exact_past_int64():
+    # q-multichains of a chain are q-element multisets of its elements
+    size = 200
+    chain = HasseDiagram(
+        elements=tuple(range(size)),
+        covers=tuple((i, i + 1) for i in range(size - 1)),
+    )
+    assert chain.multichain_count(20) == math.comb(size + 19, 20)
 
 
 def test_refinement_agrees_with_cycle_order():
