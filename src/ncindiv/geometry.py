@@ -31,7 +31,7 @@ from .hurwitz import (
     factorization_product,
 )
 from .perm import KParams, format_cycles, from_cycles, long_cycle
-from .poset import HasseDiagram, transitive_reduction
+from .poset import HasseDiagram, _reduction
 
 
 @dataclass(frozen=True)
@@ -297,10 +297,15 @@ def build_cambrian(params: KParams) -> HasseDiagram:
                 continue
             d2 = rotate_diagonal(d, diag, clockwise=True)
             edges.add((i, index[d2.diagonals]))
-    covers = transitive_reduction(len(dissections), edges)
+    covers, down, up = _reduction(len(dissections), edges)
     labels = tuple(
         " | ".join(format_cycles(t) for t in theta_inverse(d)) for d in dissections
     )
     return HasseDiagram(
-        elements=tuple(dissections), covers=covers, rank=None, labels=labels
+        elements=tuple(dissections),
+        covers=covers,
+        rank=None,
+        labels=labels,
+        down=down,
+        up=up,
     )

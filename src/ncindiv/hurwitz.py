@@ -3,8 +3,7 @@
 A reduced factorization of c_N is a tuple (t_1, ..., t_n) of
 (k+1)-cycles with t_1 * t_2 * ... * t_n = c_N (right factor first).
 All factors of such a factorization are increasing cycles, so a factor
-is determined by its support; the fast breadth-first search below
-exploits this by encoding factors as support bitmasks.
+is determined by its support.
 
 The braid group acts by Hurwitz moves
     sigma_i:      (t_i, t_{i+1}) -> (t_{i+1}, t_{i+1}^{-1} t_i t_{i+1})
@@ -12,12 +11,32 @@ The braid group acts by Hurwitz moves
 and the symmetric group by the variant that sorts the factor minima.
 Commutation classes are the orbits of the swaps of adjacent factors
 with disjoint supports.
+
+The functions on Permutation tuples (hurwitz_orbit, commutation_classes)
+are the oracles.  orbit_and_class_report is the engine behind the
+`hurwitz` and `verify` commands, a breadth-first frontier search:
+
+* State encoding.  The F = C(N, k+1) possible factors are indexed in
+  increasing order of their support bitmasks, and a factorization
+  (a_0, ..., a_{n-1}) of indices is the int64 sum of a_i * F**i.  The
+  support masks are the only table, an F-array.
+* Frontier.  The moves come in inverse pairs, so the orbit graph is
+  undirected and the neighbours of breadth-first layer d lie in layers
+  d-1, d and d+1.  The search keeps just those three layers, as sorted
+  arrays, and never the whole orbit (Korf et al., Frontier search,
+  JACM 2005).
+* Normal forms.  Each commutation class holds exactly one
+  lexicographically least word (Anisimov-Knuth 1979; Cartier-Foata
+  1969).  A word is that one iff there are no i < j with a_j < a_i and
+  supp a_j disjoint from the supports of a_i, ..., a_{j-1}.  Counting
+  the states that pass this test, layer by layer, counts the classes
+  without visiting any class.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from math import comb
 
 from .counting import chain_count
 from .perm import KParams, Permutation, from_cycles, long_cycle
@@ -221,61 +240,8 @@ def phi_inverse(p: tuple[int, ...], params: KParams) -> Factorization:
 
 
 # ---------------------------------------------------------------------------
-# Packed fast path for large orbits (N <= 14 or so; supports as bitmasks).
+# Frontier search over int64-packed states (see the module docstring).
 # ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=4)
-def _factor_tables(N: int, k: int):
-    """Support-indexed tables for all increasing (k+1)-cycles on [N]:
-    support masks, an index lookup, and per-factor mask-image tables
-    under the cycle and its inverse."""
-    supports = list(combinations(range(N), k + 1))
-    index = {}
-    supp_mask = []
-    for i, s in enumerate(supports):
-        mask = 0
-        for b in s:
-            mask |= 1 << b
-        supp_mask.append(mask)
-        index[mask] = i
-    size = 1 << N
-    fwd_tables, inv_tables = [], []
-    for s in supports:
-        fwd_bit = list(range(N))
-        for a, b in zip(s, s[1:] + s[:1]):
-            fwd_bit[a] = b
-        inv_bit = list(range(N))
-        for a, b in enumerate(fwd_bit):
-            inv_bit[b] = a
-        fwd = [0] * size
-        inv = [0] * size
-        for mask in range(1, size):
-            low = mask & -mask
-            b = low.bit_length() - 1
-            rest = mask ^ low
-            fwd[mask] = fwd[rest] | 1 << fwd_bit[b]
-            inv[mask] = inv[rest] | 1 << inv_bit[b]
-        fwd_tables.append(fwd)
-        inv_tables.append(inv)
-    return supp_mask, index, fwd_tables, inv_tables
-
-
-def _canonical_start_packed(params: KParams):
-    """The consecutive-blocks factorization as factor indices."""
-    N, k, n = params.N, params.k, params.n
-    supp_mask, index, _fwd, _inv = _factor_tables(N, k)
-    start = []
-    for i in range(n):
-        mask = 0
-        for x in range(i * k, i * k + k + 1):
-            mask |= 1 << x
-        start.append(index[mask])
-    factors = tuple(
-        from_cycles(N, (tuple(range(i * k + 1, i * k + k + 2)),)) for i in range(n)
-    )
-    assert factorization_product(factors) == long_cycle(N)
-    return tuple(start)
 
 
 @lru_cache(maxsize=32)
@@ -286,58 +252,105 @@ def orbit_and_class_report(params: KParams, max_states: int | None = None) -> di
 
     The orbit size equaling the chain count N^(n-1) certifies
     transitivity: the orbit consists of valid factorizations and the
-    chain count is the total number of them.
+    chain count is the total number of them.  A request whose orbit or
+    factor table would exceed max_states, or whose states do not fit
+    the int64 packing, is refused with ValueError before anything is
+    allocated.
     """
     N, k, n = params.N, params.k, params.n
-    supp_mask, index, fwd_tables, inv_tables = _factor_tables(N, k)
-    start = _canonical_start_packed(params)
     cap = max_states if max_states is not None else 20_000_000
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for i in range(n - 1):
-                a, b = state[i], state[i + 1]
-                # sigma_i
-                s1 = state[:i] + (b, index[inv_tables[b][supp_mask[a]]]) + state[i + 2 :]
-                if s1 not in seen:
-                    seen.add(s1)
-                    nxt.append(s1)
-                # sigma_i inverse
-                s2 = state[:i] + (index[fwd_tables[a][supp_mask[b]]], a) + state[i + 2 :]
-                if s2 not in seen:
-                    seen.add(s2)
-                    nxt.append(s2)
-            if len(seen) > cap:
-                raise RuntimeError(f"orbit exceeded max_states = {cap}")
-        frontier = nxt
-    orbit_size = len(seen)
-
-    # flood-fill the commuting-swap components, consuming the orbit set
-    class_count = 0
-    class_sizes: dict[int, int] = {}
-    while seen:
-        state = seen.pop()
-        stack = [state]
-        size = 1
-        while stack:
-            f = stack.pop()
-            for i in range(n - 1):
-                a, b = f[i], f[i + 1]
-                if supp_mask[a] & supp_mask[b]:
-                    continue
-                g = f[:i] + (b, a) + f[i + 2 :]
-                if g in seen:
-                    seen.remove(g)
-                    stack.append(g)
-                    size += 1
-        class_count += 1
-        class_sizes[size] = class_sizes.get(size, 0) + 1
+    expected = chain_count(n, k)
+    if expected > cap:
+        raise ValueError(f"the orbit has {expected} states, more than max_states = {cap}")
+    F = comb(N, k + 1)
+    if F > cap:
+        raise ValueError(f"the factor table has {F} rows, more than max_states = {cap}")
+    if F**n > 2**63 - 1:
+        raise ValueError(
+            f"{F}**{n} packed states exceed the int64 packing limit 2**63 - 1"
+        )
+    # for n = 1 the long cycle is its own only factorization
+    orbit_size, class_count = _frontier_search(N, k, n, cap) if n > 1 else (1, 1)
     return {
         "orbit_size": orbit_size,
-        "expected": chain_count(n, k),
-        "transitive": orbit_size == chain_count(n, k),
+        "expected": expected,
+        "transitive": orbit_size == expected,
         "class_count": class_count,
-        "class_sizes": class_sizes,
     }
+
+
+def _frontier_search(N: int, k: int, n: int, cap: int) -> tuple[int, int]:
+    """Orbit size and normal-form count of the canonical factorization's
+    Hurwitz orbit (n >= 2)."""
+    import numpy as np
+
+    # The (k+1)-subsets of [0, N) as increasing bitmasks: those with top
+    # point t are the j-subsets of [0, t), a prefix of the level below,
+    # with bit t added.
+    masks = np.zeros(1, dtype=np.int64)
+    for j in range(1, k + 2):
+        masks = np.concatenate(
+            [masks[: comb(t, j - 1)] | 1 << t for t in range(j - 1, N)]
+        )
+    F = len(masks)
+
+    def member(x, layer):
+        if not layer.size:
+            return np.zeros(x.shape, dtype=bool)
+        return layer[np.minimum(np.searchsorted(layer, x), layer.size - 1)] == x
+
+    def normal_forms(m):
+        """How many rows of factor masks are least words of their class."""
+        least = np.ones(len(m), dtype=bool)
+        for j in range(1, n):
+            union = np.zeros(len(m), dtype=np.int64)
+            for i in range(j - 1, -1, -1):
+                union |= m[:, i]
+                least &= (m[:, j] >= m[:, i]) | (m[:, j] & union != 0)
+        return int(least.sum())
+
+    power = F ** np.arange(n, dtype=np.int64)
+    block = (1 << k + 1) - 1  # the i-th factor of the start is on [ik, ik + k]
+    start = int(np.searchsorted(masks, [block << i * k for i in range(n)]) @ power)
+    previous = np.empty(0, dtype=np.int64)
+    current = np.array([start], dtype=np.int64)
+    orbit_size = class_count = 0
+    while current.size:
+        orbit_size += current.size
+        if orbit_size > cap:
+            raise RuntimeError(f"orbit exceeded max_states = {cap}")
+        digits = current[:, None] // power % F
+        m = masks[digits]
+        class_count += normal_forms(m)
+        moved = []
+        for i in range(n - 1):
+            a, b, ma, mb = digits[:, i], digits[:, i + 1], m[:, i], m[:, i + 1]
+            rest = current - a * power[i] - b * power[i + 1]
+            # Adjacent factors of a reduced factorization share at most
+            # one point x: their product has reflection length 2k, so
+            # their supports cover at least 2k + 1 points.  Without x,
+            # both moves swap the pair.
+            x = ma & mb
+            meet = x != 0
+            moved.append((rest + b * power[i] + a * power[i + 1])[~meet])
+            rest, a, b, ma, mb, x = (v[meet] for v in (rest, a, b, ma, mb, x))
+            # With one, the conjugate's support trades x for b^{-1}(x),
+            # the cyclic predecessor of x in supp b, or for a(x), the
+            # cyclic successor of x in supp a.
+            below, above = mb & (x - 1), ma & ~((x << 1) - 1)
+            below = np.where(below != 0, below, mb)
+            above = np.where(above != 0, above, ma)
+            # highest bit via the float exponent, exact as the packing
+            # limit keeps N below 53; lowest bit as v & -v
+            before = np.left_shift(1, np.frexp(below)[1] - 1, dtype=np.int64)
+            after = above & -above
+            c = np.searchsorted(masks, ma ^ x | before)
+            d = np.searchsorted(masks, mb ^ x | after)
+            moved.append(rest + b * power[i] + c * power[i + 1])
+            moved.append(rest + d * power[i] + a * power[i + 1])
+        nxt = np.concatenate(moved)
+        nxt.sort()
+        nxt = nxt[np.concatenate(([True], nxt[1:] != nxt[:-1]))]
+        nxt = nxt[~(member(nxt, current) | member(nxt, previous))]
+        previous, current = current, nxt
+    return orbit_size, class_count

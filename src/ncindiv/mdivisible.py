@@ -30,10 +30,10 @@ from .poset import (
     HasseDiagram,
     _bits,
     _cover_pairs,
+    _reduction,
     _up_from_down,
     build_poset,
     leq_nc,
-    transitive_reduction,
 )
 
 
@@ -144,12 +144,14 @@ def with_merged_minima(poset: HasseDiagram) -> HasseDiagram:
             raise ValueError("minimal element above something")
         else:
             covers.add((remap[i], remap[j]))
-    reduced = transitive_reduction(len(keep) + 1, covers)
+    reduced, down, up = _reduction(len(keep) + 1, covers)
     return HasseDiagram(
         elements=("merged minimum",) + tuple(poset.elements[i] for i in keep),
         covers=reduced,
         rank=None,
         labels=("min",) + tuple(poset.labels[i] for i in keep),
+        down=down,
+        up=up,
     )
 
 

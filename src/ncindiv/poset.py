@@ -244,7 +244,14 @@ def _cover_pairs(down, up) -> tuple[tuple[int, int], ...]:
 
 def transitive_reduction(size: int, edges: set[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
     """Cover pairs, sorted, of the partial order generated by an acyclic edge set."""
-    return tuple(sorted(_cover_pairs(*_closure(size, tuple(edges)))))
+    return _reduction(size, edges)[0]
+
+
+def _reduction(size: int, edges: set[tuple[int, int]]):
+    """Sorted cover pairs of the order generated by an acyclic edge set,
+    with the down and up masks of its closure."""
+    down, up = _closure(size, tuple(edges))
+    return tuple(sorted(_cover_pairs(down, up))), down, up
 
 
 def refines(u: Permutation, w: Permutation) -> bool:

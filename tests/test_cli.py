@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import ncindiv
 from ncindiv.cli import main
 
 
@@ -126,6 +131,30 @@ def test_unwritable_out_is_a_refusal(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+def test_hurwitz_refuses_before_allocating(capsys):
+    started = time.perf_counter()
+    code = main(["hurwitz", "--k", "2", "--n", "6", "--max-states", "10"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "371293" in captured.err  # refused on the closed-form orbit size
+    assert elapsed < 1.0
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncindiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, ncindiv.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 # SHA-256 of exports whose bytes must not change: element order, labels

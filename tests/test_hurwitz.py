@@ -81,6 +81,15 @@ def test_commute_predicate():
     assert not commute(from_cycles(5, ((1, 2),)), from_cycles(5, ((2, 3),)))
 
 
+def consecutive_blocks(params):
+    """The factorization (1..k+1)(k+1..2k+1)...(N-k..N) the report starts from."""
+    k = params.k
+    return tuple(
+        from_cycles(params.N, (tuple(range(i * k + 1, i * k + k + 2)),))
+        for i in range(params.n)
+    )
+
+
 def test_packed_report_matches_slow_path():
     for k, n in ((2, 3), (1, 4)):
         params = KParams(k, n)
@@ -88,9 +97,23 @@ def test_packed_report_matches_slow_path():
         assert report["orbit_size"] == chain_count(n, k)
         assert report["transitive"]
         assert report["class_count"] == commutation_class_count(n, k)
-        assert sum(s * c for s, c in report["class_sizes"].items()) == report[
-            "orbit_size"
-        ]
+    # against the Permutation-level oracles, for every N <= 7
+    for k in range(1, 7):
+        for n in range(1, 6 // k + 1):
+            params = KParams(k, n)
+            start = consecutive_blocks(params)
+            assert is_reduced_factorization(start, params)
+            report = orbit_and_class_report(params)
+            assert report["orbit_size"] == len(hurwitz_orbit(start))
+            assert report["class_count"] == len(
+                commutation_classes(enumerate_factorizations(params))
+            )
+
+
+def test_report_refuses_past_the_int64_packing():
+    # 3876**6 packed states overflow int64
+    with pytest.raises(ValueError, match="packing"):
+        orbit_and_class_report(KParams(3, 6))
 
 
 @given(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2)]), st.randoms())
