@@ -15,6 +15,7 @@ arc poset.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .nc import NoncrossingElement, kreweras
 from .perm import KParams, from_cycles
@@ -328,18 +329,25 @@ class OrderIdeal:
     The poset elements are arcs (a, b) with a = k(j-1)+1 for some row
     j in 1..n and a < b <= N - k + 1, ordered by reverse inclusion of
     endpoints: (a', b') <= (a, b) iff a' >= a and b' <= b.
+
+    Construction checks down-closure through the lower covers
+    (a, b - 1) and (a + k, b) of each arc, where those are elements.
+    That suffices: below (a, b), an element (a', b') is reached by
+    shortening b to b' and then moving a up by k to a', and every arc
+    on the way is an element, since a <= a' < b'.
     """
 
     params: KParams
     arcs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        universe = set(arc_poset_elements(self.params))
+        universe = _arc_universe(self.params)
         if not self.arcs <= universe:
             raise ValueError("ideal contains a non-element")
+        k = self.params.k
         for a, b in self.arcs:
-            for a2, b2 in universe:
-                if a2 >= a and b2 <= b and (a2, b2) not in self.arcs:
+            for lower in ((a, b - 1), (a + k, b)):
+                if lower in universe and lower not in self.arcs:
                     raise ValueError("set is not down-closed")
 
     def row_counts(self) -> tuple[int, ...]:
@@ -356,6 +364,11 @@ def arc_poset_elements(params: KParams) -> list[tuple[int, int]]:
         a = k * (j - 1) + 1
         out.extend((a, b) for b in range(a + 1, N - k + 2))
     return out
+
+
+@lru_cache(maxsize=None)
+def _arc_universe(params: KParams) -> frozenset[tuple[int, int]]:
+    return frozenset(arc_poset_elements(params))
 
 
 def enumerate_ideals(params: KParams) -> list[OrderIdeal]:

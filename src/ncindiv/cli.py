@@ -45,6 +45,7 @@ from .typeb import typeb_report
 from .verify import format_report, run_suite, suite_report
 
 FULL_POSET_MAX_N = 13  # refuse rather than hang on oversized builds
+CAMBRIAN_MAX_FACTORIZATIONS = 100_000  # build_cambrian lists every one
 DEFAULT_MAX_STATES = 10_000_000
 
 
@@ -222,6 +223,12 @@ def cmd_hurwitz(args) -> int:
 
 def cmd_cambrian(args) -> int:
     params = _params(args)
+    count = chain_count(params.n, params.k)
+    if count > CAMBRIAN_MAX_FACTORIZATIONS:
+        raise ValueError(
+            f"refusing Cambrian build over {count} factorizations"
+            f" > {CAMBRIAN_MAX_FACTORIZATIONS}"
+        )
     poset = build_cambrian(params)
     if args.format == "dot":
         _emit(poset.to_dot("cambrian"), args.out)

@@ -127,7 +127,7 @@ def with_bottom(poset: HasseDiagram) -> HasseDiagram:
         elements=("bottom",) + tuple(poset.elements),
         covers=tuple(covers),
         rank=None,
-        labels=("0",) + tuple(poset.labels),
+        labels=lambda: ("0",) + tuple(poset.labels),
     )
 
 
@@ -149,7 +149,7 @@ def with_merged_minima(poset: HasseDiagram) -> HasseDiagram:
         elements=("merged minimum",) + tuple(poset.elements[i] for i in keep),
         covers=reduced,
         rank=None,
-        labels=("min",) + tuple(poset.labels[i] for i in keep),
+        labels=lambda: ("min",) + tuple(poset.labels[i] for i in keep),
         down=down,
         up=up,
     )

@@ -66,22 +66,31 @@ class Permutation:
 
     def cycles(self, with_fixed_points: bool = True) -> tuple[tuple[int, ...], ...]:
         """Canonical cycle decomposition: each cycle starts at its
-        minimum, cycles sorted by minima."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            x = self(start)
-            while x != start:
-                cyc.append(x)
-                seen[x - 1] = True
-                x = self(x)
-            if len(cyc) > 1 or with_fixed_points:
+        minimum, cycles sorted by minima.
+
+        The full decomposition is computed once per instance and kept
+        outside the dataclass fields, so equality and hashing still
+        read only the image."""
+        full = self.__dict__.get("_cycles")
+        if full is None:
+            seen = [False] * self.degree
+            out = []
+            for start in range(1, self.degree + 1):
+                if seen[start - 1]:
+                    continue
+                cyc = [start]
+                seen[start - 1] = True
+                x = self(start)
+                while x != start:
+                    cyc.append(x)
+                    seen[x - 1] = True
+                    x = self(x)
                 out.append(tuple(cyc))
-        return tuple(out)
+            full = tuple(out)
+            object.__setattr__(self, "_cycles", full)
+        if with_fixed_points:
+            return full
+        return tuple(cyc for cyc in full if len(cyc) > 1)
 
     def cycle_count(self) -> int:
         """Number of cycles including fixed points."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -24,6 +25,26 @@ def _bits(mask: int):
         mask ^= low
 
 
+class _Labels:
+    """The labels field of HasseDiagram.  A tuple passed in is kept as
+    it is; a function passed in is called on the first read, and with
+    nothing passed the labels are str() of each element, built on the
+    first read, since few callers read labels at all."""
+
+    def __get__(self, poset, owner=None):
+        if poset is None:
+            return None  # the field's default
+        labels = poset._labels
+        if labels is None:
+            poset._labels = tuple(str(e) for e in poset.elements)
+        elif callable(labels):
+            poset._labels = labels()
+        return poset._labels
+
+    def __set__(self, poset, labels) -> None:
+        poset._labels = labels
+
+
 @dataclass
 class HasseDiagram:
     """A finite poset given by its elements and cover relation.
@@ -31,20 +52,19 @@ class HasseDiagram:
     covers holds index pairs (i, j) meaning element i is covered by
     element j.  rank is present only for graded posets.  down[i] and
     up[i] are bitmasks of the weakly-below and weakly-above elements.
+    labels, one string per element, are built when first read.
     """
 
     elements: tuple
     covers: tuple[tuple[int, int], ...]
     rank: tuple[int, ...] | None = None
-    labels: tuple[str, ...] | None = None
+    labels: tuple[str, ...] | Callable[[], tuple[str, ...]] | None = _Labels()
     down: tuple[int, ...] = field(default_factory=tuple)
     up: tuple[int, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if not self.down:
             self.down, self.up = _closure(len(self.elements), self.covers)
-        if self.labels is None:
-            self.labels = tuple(str(e) for e in self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -163,17 +183,21 @@ class HasseDiagram:
         return self.mobius_from_bottom()[self.top()]
 
     def is_lattice(self) -> bool:
-        """True iff every pair of elements has a meet and a join."""
-        size = len(self)
-        for i in range(size):
-            for j in range(i + 1, size):
-                down = self.down[i] & self.down[j]
-                if sum(1 for z in _bits(down) if self.up[z] & down == 1 << z) != 1:
-                    return False
-                upc = self.up[i] & self.up[j]
-                if sum(1 for z in _bits(upc) if self.down[z] & upc == 1 << z) != 1:
-                    return False
-        return True
+        """True iff every pair of elements has a meet and a join.
+
+        The common lower set down[i] & down[j] is a down-set, and a
+        finite down-set has exactly one maximal element z iff it equals
+        down[z]; dually for the common upper set.  So a pair has a meet
+        iff its common lower set is one of the down masks and a join iff
+        its common upper set is one of the up masks, and every pair is
+        decided by two set lookups."""
+        down, up = self.down, self.up
+        downs, ups = set(down), set(up)
+        return all(
+            down[i] & d in downs and up[i] & u in ups
+            for i in range(len(self))
+            for d, u in zip(down[i + 1 :], up[i + 1 :])
+        )
 
     def to_dot(self, name: str = "poset") -> str:
         """Graphviz DOT text of the Hasse diagram, edges upward."""

@@ -1,7 +1,10 @@
+from itertools import chain, combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from ncindiv.bijections import (
+    OrderIdeal,
     arc_poset_elements,
     ary_to_dyck,
     boundary_path,
@@ -121,3 +124,36 @@ def test_full_bijection_round_trip():
         assert len({i.arcs for i in images}) == len(elements)
         for e, ideal in zip(elements, images):
             assert nn_to_nc(ideal) == e
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
+def test_order_ideal_accepts_exactly_the_down_sets(k, n):
+    params = KParams(k, n)
+    universe = arc_poset_elements(params)
+    subsets = chain.from_iterable(
+        combinations(universe, r) for r in range(len(universe) + 1)
+    )
+    accepted = 0
+    for subset in subsets:
+        arcs = frozenset(subset)
+        down_closed = all(
+            (a2, b2) in arcs
+            for a, b in arcs
+            for a2, b2 in universe
+            if a2 >= a and b2 <= b
+        )
+        if down_closed:
+            OrderIdeal(params, arcs)
+            accepted += 1
+        else:
+            with pytest.raises(ValueError, match="not down-closed"):
+                OrderIdeal(params, arcs)
+    assert accepted == nc_cardinality(n, k)
+
+
+def test_order_ideal_rejects_a_non_element():
+    params = KParams(2, 2)
+    with pytest.raises(ValueError, match="non-element"):
+        OrderIdeal(params, frozenset({(2, 3)}))
+    with pytest.raises(ValueError, match="non-element"):
+        OrderIdeal(params, frozenset({(1, 2), (1, 5)}))

@@ -146,6 +146,19 @@ def test_hurwitz_refuses_before_allocating(capsys):
     assert elapsed < 1.0
 
 
+def test_cambrian_refuses_before_allocating(capsys):
+    started = time.perf_counter()
+    code = main(["cambrian", "--k", "1", "--n", "7"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert "262144" in captured.err  # refused on the closed-form chain count
+    assert elapsed < 1.0
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(ncindiv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -168,6 +181,10 @@ PINNED_STDOUT = {
         "9fa49bf748ee9a9000924f2f22029e80b6db1ef56893c6c3f303f51cb713da80",
     ("poset", "--k", "2", "--n", "3", "--format", "dot"):
         "62a7faf5d32a3203340c358d2fd14a01be770257ceebcfdab020fe6cbf6a93e0",
+    ("nonnesting", "--k", "2", "--n", "4", "--format", "json"):
+        "f9238a3a5a8d1691d7a988b7799fc374dac0056fc2a84547b0e8e30348ecb56d",
+    ("cambrian", "--k", "2", "--n", "3", "--format", "json"):
+        "7682cb301db21fe71a4001d033d9def5adbc42faedf99bc7a05a222bb698d392",
 }
 
 

@@ -112,3 +112,13 @@ def test_covers_below_drop_rank_by_one():
             assert ell_k(u, k) == n - 1
     with pytest.raises(ValueError):
         covers_below(from_cycles(5, ((1, 2),)), 2)
+
+
+def test_cycles_are_computed_once_and_leave_equality_alone():
+    w = parse_cycles("(1 3)(2 5 4)", 6)
+    twin = Permutation(w.image)
+    assert w.cycles() is w.cycles()
+    assert w.cycles() == ((1, 3), (2, 5, 4), (6,))
+    assert w.cycles(with_fixed_points=False) == ((1, 3), (2, 5, 4))
+    assert w == twin and hash(w) == hash(twin)
+    assert len({w, twin}) == 1

@@ -1,6 +1,8 @@
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ncindiv.counting import (
     chain_count,
@@ -9,9 +11,12 @@ from ncindiv.counting import (
     nc_rank_count,
     zeta_value,
 )
+from ncindiv.geometry import build_cambrian
+from ncindiv.mdivisible import with_bottom
 from ncindiv.perm import KParams, from_cycles, identity, long_cycle
 from ncindiv.poset import (
     HasseDiagram,
+    _bits,
     build_poset,
     leq_nc,
     refines,
@@ -112,3 +117,69 @@ def test_dot_and_csv_exports():
     dot = poset.to_dot("tiny")
     assert dot.startswith("digraph tiny {") and "n0 -> n1" in dot
     assert poset.rank_census_csv() == "rank,count\r\n0,1\r\n1,1\r\n"
+
+
+def test_labels_default_to_element_strings_and_keep_given_ones():
+    poset = build_poset(KParams(2, 2))
+    assert poset.labels == tuple(str(e) for e in poset.elements)
+    given_labels = tuple(f"x{i}" for i in range(len(poset)))
+    relabelled = HasseDiagram(poset.elements, poset.covers, labels=given_labels)
+    assert relabelled.labels is given_labels
+    assert with_bottom(poset).labels == ("0",) + poset.labels
+
+
+def lattice_oracle(poset: HasseDiagram) -> bool:
+    """Brute-force lattice test: every pair's common lower set has
+    exactly one maximal element, and its common upper set exactly one
+    minimal element."""
+    size = len(poset)
+    for i in range(size):
+        for j in range(i + 1, size):
+            down = poset.down[i] & poset.down[j]
+            if sum(1 for z in _bits(down) if poset.up[z] & down == 1 << z) != 1:
+                return False
+            upc = poset.up[i] & poset.up[j]
+            if sum(1 for z in _bits(upc) if poset.down[z] & upc == 1 << z) != 1:
+                return False
+    return True
+
+
+@st.composite
+def random_posets(draw):
+    size = draw(st.integers(1, 9))
+    pairs = list(combinations(range(size), 2))
+    edges = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    # a bottom or a top, each drawn on its own, makes lattices and
+    # posets with all meets but not all joins (or the reverse) common
+    if draw(st.booleans()):
+        edges |= {(0, i) for i in range(1, size)}
+    if draw(st.booleans()):
+        edges |= {(i, size - 1) for i in range(size - 1)}
+    return HasseDiagram(tuple(range(size)), transitive_reduction(size, edges))
+
+
+@given(random_posets())
+def test_is_lattice_matches_oracle_on_random_posets(poset):
+    assert poset.is_lattice() == lattice_oracle(poset)
+
+
+# the oracle is cubic in the size, so the k = 1 posets at N = 8 and 9
+# (1430 and 4862 elements) are left out
+ORACLE_POSET_PARAMS = [
+    (k, n)
+    for k in range(1, 9)
+    for n in range(1, 9)
+    if k * n + 1 <= 9 and (k, n) not in ((1, 7), (1, 8))
+]
+
+
+@pytest.mark.parametrize("k, n", ORACLE_POSET_PARAMS)
+def test_is_lattice_matches_oracle_on_nc_posets(k, n):
+    poset = build_poset(KParams(k, n))
+    assert poset.is_lattice() == lattice_oracle(poset)
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (1, 4), (2, 2), (2, 3)])
+def test_is_lattice_matches_oracle_on_cambrian_posets(k, n):
+    poset = build_cambrian(KParams(k, n))
+    assert poset.is_lattice() == lattice_oracle(poset)
