@@ -147,9 +147,16 @@ def commutation_class_count(n: int, k: int) -> int:
     return raney(n, 2 * k + 1, 1)
 
 
+def _check_m(m: int) -> None:
+    """The m-divisible closed forms hold for m >= 1 only."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+
+
 def mdiv_cardinality(n: int, k: int, m: int) -> int:
     """Number of m-divisible k-indivisible noncrossing partitions,
     i.e. m-element multichains: zeta at m."""
+    _check_m(m)
     return zeta_value(n, k, m)
 
 
@@ -158,6 +165,7 @@ def mdiv_zeta_value(n: int, k: int, m: int, q: int) -> int:
 
         (mq + 1)/(mNq + 1) * C(mNq + n, n),  N = kn + 1.
     """
+    _check_m(m)
     N = k * n + 1
     d = m * N * q + 1
     if d == 0:
@@ -171,12 +179,14 @@ def mdiv_zeta_value(n: int, k: int, m: int, q: int) -> int:
 def mdiv_mobius_hat(n: int, k: int, m: int) -> int:
     """Mobius invariant of the m-divisible poset with an artificial
     bottom adjoined: (-1)^(n-1) Ran(n, km, m - 1)."""
+    _check_m(m)
     return (-1) ** (n - 1) * raney(n, k * m, m - 1)
 
 
 def mdiv_mobius_bar(n: int, k: int, m: int) -> int:
     """Mobius invariant of the m-divisible poset with its minimal
     elements merged into one: (-1)^n (Ran(n, k(m+1), m) - Ran(n, km, m-1))."""
+    _check_m(m)
     return (-1) ** n * (raney(n, k * (m + 1), m) - raney(n, k * m, m - 1))
 
 

@@ -48,11 +48,16 @@ class Dissection:
     def positions(self) -> frozenset[tuple[int, int]]:
         return frozenset((2 * a - 1, 2 * b) for a, b in self.diagonals)
 
-    def faces(self) -> list[tuple[int, ...]]:
+    def faces(self) -> tuple[tuple[int, ...], ...]:
         """The cells of the dissection, as tuples of polygon positions
-        in clockwise order."""
-        all_positions = tuple(range(1, 2 * self.params.N + 1))
-        return _split_faces(all_positions, set(self.positions()))
+        in clockwise order.  Computed once per instance and kept outside
+        the dataclass fields, so equality and hashing ignore it."""
+        faces = self.__dict__.get("_faces")
+        if faces is None:
+            all_positions = tuple(range(1, 2 * self.params.N + 1))
+            faces = tuple(_split_faces(all_positions, set(self.positions())))
+            object.__setattr__(self, "_faces", faces)
+        return faces
 
     def to_record(self) -> dict:
         return {
@@ -211,11 +216,29 @@ def rotate_diagonal(
     of the union of its two cells."""
     if diag not in d.diagonals:
         raise ValueError(f"{diag} is not a diagonal of the dissection")
+    new_diag = _rotated(_cell_union(d, diag), diag, clockwise)
+    out = Dissection(
+        d.params, (d.diagonals - {diag}) | {new_diag}
+    )
+    if not out.is_valid():
+        raise ValueError("rotation produced an invalid dissection")
+    return out
+
+
+def _cell_union(d: Dissection, diag: tuple[int, int]) -> list[int]:
+    """The sorted positions of the two cells adjacent to a diagonal."""
     p, q = 2 * diag[0] - 1, 2 * diag[1]
     cells = [cell for cell in d.faces() if p in cell and q in cell]
     if len(cells) != 2:
         raise ValueError("diagonal is not adjacent to exactly two cells")
-    union = sorted(set(cells[0]) | set(cells[1]))
+    return sorted(set(cells[0]) | set(cells[1]))
+
+
+def _rotated(
+    union: list[int], diag: tuple[int, int], clockwise: bool
+) -> tuple[int, int]:
+    """The diagonal moved one step along the boundary of its cell union."""
+    p, q = 2 * diag[0] - 1, 2 * diag[1]
     step = 1 if clockwise else -1
     new_p = union[(union.index(p) + step) % len(union)]
     new_q = union[(union.index(q) + step) % len(union)]
@@ -223,13 +246,7 @@ def rotate_diagonal(
         new_p, new_q = new_q, new_p
     if new_p % 2 == 0 or new_q % 2 == 1:
         raise ValueError("rotated diagonal lost the unbarred/barred split")
-    new_diag = ((new_p + 1) // 2, new_q // 2)
-    out = Dissection(
-        d.params, (d.diagonals - {diag}) | {new_diag}
-    )
-    if not out.is_valid():
-        raise ValueError("rotation produced an invalid dissection")
-    return out
+    return ((new_p + 1) // 2, new_q // 2)
 
 
 def all_dissections(params: KParams) -> list[Dissection]:
@@ -283,7 +300,9 @@ def build_cambrian(params: KParams) -> HasseDiagram:
     consecutive-blocks factorization (1..k+1)(k+1..2k+1)...(N-k..N) and
     the maximum is the image of (k+1..2k+1)(2k+1..3k+1)...(1,..,k,N).
     Whether every pair has a meet and a join is reported by
-    ``HasseDiagram.is_lattice``, not assumed."""
+    ``HasseDiagram.is_lattice``, not assumed.  Each rotation is looked up
+    among the dissections, which ``theta`` has validated, so a rotation
+    that leaves them raises ValueError."""
     dissections = all_dissections(params)
     index = {d.diagonals: i for i, d in enumerate(dissections)}
     two_n = 2 * params.N
@@ -291,12 +310,13 @@ def build_cambrian(params: KParams) -> HasseDiagram:
     for i, d in enumerate(dissections):
         for diag in d.diagonals:
             p, q = 2 * diag[0] - 1, 2 * diag[1]
-            cells = [cell for cell in d.faces() if p in cell and q in cell]
-            union = sorted(set(cells[0]) | set(cells[1]))
+            union = _cell_union(d, diag)
             if frozenset((p, q)) == _blocked_position(union, params.k, two_n):
                 continue
-            d2 = rotate_diagonal(d, diag, clockwise=True)
-            edges.add((i, index[d2.diagonals]))
+            rotated = (d.diagonals - {diag}) | {_rotated(union, diag, True)}
+            if rotated not in index:
+                raise ValueError("a rotation left the dissections")
+            edges.add((i, index[rotated]))
     covers, down, up = _reduction(len(dissections), edges)
     labels = tuple(
         " | ".join(format_cycles(t) for t in theta_inverse(d)) for d in dissections

@@ -25,6 +25,13 @@ are the oracles.  orbit_and_class_report is the engine behind the
   d-1, d and d+1.  The search keeps just those three layers, as sorted
   arrays, and never the whole orbit (Korf et al., Frontier search,
   JACM 2005).
+* Chunks.  Layer d is expanded CHUNK states at a time.  Each chunk's
+  2(n-1) moves per state are sorted, deduplicated and stripped of the
+  states in layers d-1 and d before the next chunk starts; one sort of
+  the concatenated survivors gives layer d+1.  So the working set is
+  layers d-1 and d, the survivors (layer d+1 with its repeats across
+  chunks), all as int64s, plus one chunk's n-column digits, masks and
+  candidates, and not a layer times the 2(n-1) moves.
 * Normal forms.  Each commutation class holds exactly one
   lexicographically least word (Anisimov-Knuth 1979; Cartier-Foata
   1969).  A word is that one iff there are no i < j with a_j < a_i and
@@ -43,6 +50,8 @@ from .perm import KParams, Permutation, from_cycles, long_cycle
 from .poset import build_poset
 
 Factorization = tuple[Permutation, ...]
+
+CHUNK = 1 << 13  # states of a frontier layer expanded at a time
 
 
 def factorization_product(factors: Factorization) -> Permutation:
@@ -293,6 +302,14 @@ def _frontier_search(N: int, k: int, n: int, cap: int) -> tuple[int, int]:
             [masks[: comb(t, j - 1)] | 1 << t for t in range(j - 1, N)]
         )
     F = len(masks)
+    power = F ** np.arange(n, dtype=np.int64)
+
+    def distinct(x):
+        """Sort a fresh 1-d array in place and return its distinct values."""
+        x.sort()
+        keep = np.ones(x.size, dtype=bool)
+        keep[1:] = x[1:] != x[:-1]
+        return x[keep]
 
     def member(x, layer):
         if not layer.size:
@@ -309,30 +326,19 @@ def _frontier_search(N: int, k: int, n: int, cap: int) -> tuple[int, int]:
                 least &= (m[:, j] >= m[:, i]) | (m[:, j] & union != 0)
         return int(least.sum())
 
-    power = F ** np.arange(n, dtype=np.int64)
-    block = (1 << k + 1) - 1  # the i-th factor of the start is on [ik, ik + k]
-    start = int(np.searchsorted(masks, [block << i * k for i in range(n)]) @ power)
-    previous = np.empty(0, dtype=np.int64)
-    current = np.array([start], dtype=np.int64)
-    orbit_size = class_count = 0
-    while current.size:
-        orbit_size += current.size
-        if orbit_size > cap:
-            raise RuntimeError(f"orbit exceeded max_states = {cap}")
-        digits = current[:, None] // power % F
-        m = masks[digits]
-        class_count += normal_forms(m)
-        moved = []
+    def moves(states, digits, m):
+        """The 2(n-1) Hurwitz moves of each state, with repeats."""
+        out = []
         for i in range(n - 1):
             a, b, ma, mb = digits[:, i], digits[:, i + 1], m[:, i], m[:, i + 1]
-            rest = current - a * power[i] - b * power[i + 1]
+            rest = states - a * power[i] - b * power[i + 1]
             # Adjacent factors of a reduced factorization share at most
             # one point x: their product has reflection length 2k, so
             # their supports cover at least 2k + 1 points.  Without x,
             # both moves swap the pair.
             x = ma & mb
             meet = x != 0
-            moved.append((rest + b * power[i] + a * power[i + 1])[~meet])
+            out.append((rest + b * power[i] + a * power[i + 1])[~meet])
             rest, a, b, ma, mb, x = (v[meet] for v in (rest, a, b, ma, mb, x))
             # With one, the conjugate's support trades x for b^{-1}(x),
             # the cyclic predecessor of x in supp b, or for a(x), the
@@ -346,11 +352,27 @@ def _frontier_search(N: int, k: int, n: int, cap: int) -> tuple[int, int]:
             after = above & -above
             c = np.searchsorted(masks, ma ^ x | before)
             d = np.searchsorted(masks, mb ^ x | after)
-            moved.append(rest + b * power[i] + c * power[i + 1])
-            moved.append(rest + d * power[i] + a * power[i + 1])
-        nxt = np.concatenate(moved)
-        nxt.sort()
-        nxt = nxt[np.concatenate(([True], nxt[1:] != nxt[:-1]))]
-        nxt = nxt[~(member(nxt, current) | member(nxt, previous))]
-        previous, current = current, nxt
+            out.append(rest + b * power[i] + c * power[i + 1])
+            out.append(rest + d * power[i] + a * power[i + 1])
+        return np.concatenate(out)
+
+    block = (1 << k + 1) - 1  # the i-th factor of the start is on [ik, ik + k]
+    start = int(np.searchsorted(masks, [block << i * k for i in range(n)]) @ power)
+    previous = np.empty(0, dtype=np.int64)
+    current = np.array([start], dtype=np.int64)
+    orbit_size = class_count = 0
+    while current.size:
+        orbit_size += current.size
+        if orbit_size > cap:
+            raise RuntimeError(f"orbit exceeded max_states = {cap}")
+        survivors = []
+        for lo in range(0, current.size, CHUNK):
+            chunk = current[lo : lo + CHUNK]
+            digits = chunk[:, None] // power % F
+            m = masks[digits]
+            class_count += normal_forms(m)
+            candidates = distinct(moves(chunk, digits, m))
+            fresh = ~(member(candidates, current) | member(candidates, previous))
+            survivors.append(candidates[fresh])
+        previous, current = current, distinct(np.concatenate(survivors))
     return orbit_size, class_count

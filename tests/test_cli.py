@@ -159,6 +159,23 @@ def test_cambrian_refuses_before_allocating(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--k", "1", "--n", "4", "--m", "0"),
+        ("zeta", "--k", "1", "--n", "4", "--q", "2", "--m", "0"),
+        ("mobius", "--k", "1", "--n", "4", "--m", "0"),
+        ("mobius", "--k", "2", "--n", "3", "--m", "-1", "--format", "json"),
+    ],
+)
+def test_m_below_one_is_a_refusal(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need m >= 1\n"
+
+
 def test_cli_import_leaves_numpy_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(ncindiv.__file__)))
     env = dict(os.environ, PYTHONPATH=src)

@@ -122,6 +122,18 @@ def test_mdiv_closed_forms_consistency():
                 assert isinstance(mdiv_mobius_bar(n, k, m), int)
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_mdiv_closed_forms_refuse_m_below_one(m):
+    for closed_form in (
+        lambda: mdiv_cardinality(3, 1, m),
+        lambda: mdiv_zeta_value(3, 1, m, 2),
+        lambda: mdiv_mobius_hat(3, 1, m),
+        lambda: mdiv_mobius_bar(3, 1, m),
+    ):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            closed_form()
+
+
 def test_determinant_matches_cardinality():
     for k in range(1, 5):
         for n in range(1, 7):

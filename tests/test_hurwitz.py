@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ncindiv import hurwitz
 from ncindiv.counting import chain_count, commutation_class_count
 from ncindiv.hurwitz import (
     commutation_classes,
@@ -108,6 +111,42 @@ def test_packed_report_matches_slow_path():
             assert report["class_count"] == len(
                 commutation_classes(enumerate_factorizations(params))
             )
+
+
+def test_tiny_chunks_match_the_oracles(monkeypatch):
+    # 7-state chunks split every layer past the first few, so moves
+    # deduplicated inside one chunk meet their repeats in the others
+    monkeypatch.setattr(hurwitz, "CHUNK", 7)
+    for k in range(1, 7):
+        for n in range(2, 6 // k + 1):
+            params = KParams(k, n)
+            orbit = hurwitz_orbit(consecutive_blocks(params))
+            classes = commutation_classes(enumerate_factorizations(params))
+            assert hurwitz._frontier_search(params.N, k, n, 10**6) == (
+                len(orbit),
+                len(classes),
+            )
+
+
+@pytest.mark.parametrize("k, n", [(1, 7), (2, 5)])
+def test_layers_spanning_many_chunks_match_one_default_chunk(monkeypatch, k, n):
+    N = k * n + 1
+    expected = hurwitz._frontier_search(N, k, n, 10**6)
+    monkeypatch.setattr(hurwitz, "CHUNK", 1000)
+    assert hurwitz._frontier_search(N, k, n, 10**6) == expected
+    assert expected == (chain_count(n, k), commutation_class_count(n, k))
+
+
+def test_frontier_memory_follows_the_layers():
+    # numpy reports its buffers to tracemalloc; expanding whole layers
+    # at once peaks at about 10 MB here, chunks at about 3.5 MB
+    tracemalloc.start()
+    try:
+        hurwitz._frontier_search(8, 1, 7, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_report_refuses_past_the_int64_packing():
