@@ -405,6 +405,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except MemoryError:
+        # a last resort: the request outgrew memory despite the refusals
+        sys.stderr.write("error: out of memory\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,24 +14,49 @@ with disjoint supports.
 
 The functions on Permutation tuples (hurwitz_orbit, commutation_classes)
 are the oracles.  orbit_and_class_report is the engine behind the
-`hurwitz` and `verify` commands, a breadth-first frontier search:
+`hurwitz` and `verify` commands, a breadth-first frontier search over
+rotation classes:
 
-* State encoding.  The F = C(N, k+1) possible factors are indexed in
-  increasing order of their support bitmasks, and a factorization
-  (a_0, ..., a_{n-1}) of indices is the int64 sum of a_i * F**i.  The
-  support masks are the only table, an F-array.
-* Frontier.  The moves come in inverse pairs, so the orbit graph is
+* Atoms.  Inverse moves carry any factor t to the front unchanged, and
+  then the other factors multiply to t^{-1} c, whose k+1 cycles have the
+  cyclic gaps of supp t as lengths.  Each of those cycles is itself a
+  product of (k+1)-cycles, so each gap is 1 mod k: t is an atom of the
+  k-indivisible poset.  There are A = nc_rank_count(n, k, 1) atoms,
+  indexed in increasing order of their support bitmasks, and a
+  factorization (a_0, ..., a_{n-1}) of atom indices is the int64 sum of
+  a_i * A**i.  The masks are int64s, so N <= 62.
+* Rotation quotient.  The full twist (sigma_1 ... sigma_{n-1})^n sends
+  every factor t to c^{-1} t c, whose support is supp t rotated back
+  by one point.  So every orbit is a union of rotation classes, the moves
+  commute with rotation, and the search visits one state per class: the
+  least packed value over its N rotations (symmetry reduction, Emerson
+  and Sistla, Symmetry and model checking, 1996).  An A x N table gives
+  each atom's rotations.  The least value has the least last digit, and
+  an atom's stabiliser has an order dividing g = gcd(N, k + 1), so the
+  rotations reaching it are among g candidates.
+* Counting.  For n >= 2 every rotation class holds N states.  The n
+  supports of k + 1 points each cover the kn + 1 points and are
+  connected (their product is a single cycle), so they form a hypertree
+  and two of them share at most one point.  A rotation of
+  order s >= 2 fixing a state would fix every support, and two supports
+  sharing a point would share its whole orbit of s points; so all
+  supports would be disjoint, which a hypertree of n >= 2 edges is not.
+  A class thus adds N to the orbit size and its normal forms among its N
+  rotations to the class count.
+* Frontier.  The moves come in inverse pairs, so the quotient graph is
   undirected and the neighbours of breadth-first layer d lie in layers
   d-1, d and d+1.  The search keeps just those three layers, as sorted
   arrays, and never the whole orbit (Korf et al., Frontier search,
   JACM 2005).
-* Chunks.  Layer d is expanded CHUNK states at a time.  Each chunk's
-  2(n-1) moves per state are sorted, deduplicated and stripped of the
-  states in layers d-1 and d before the next chunk starts; one sort of
-  the concatenated survivors gives layer d+1.  So the working set is
-  layers d-1 and d, the survivors (layer d+1 with its repeats across
-  chunks), all as int64s, plus one chunk's n-column digits, masks and
-  candidates, and not a layer times the 2(n-1) moves.
+* Chunks and memory.  Layer d is expanded max(1, CHUNK // N)
+  representatives at a time, so a chunk's N rotations fill about CHUNK
+  rows.  Each chunk's 2(n-1) moves per representative are canonicalized,
+  sorted, deduplicated and stripped of the classes in layers d-1 and d
+  before the next chunk starts; one sort of the concatenated survivors
+  gives layer d+1.  So the working set is layers d-1 and d and the
+  survivors (layer d+1 with its repeats across chunks), all as int64s,
+  about 1/N of the states; the A x N rotation table; and one chunk's
+  rotated digits, masks and candidates, not a layer times the moves.
 * Normal forms.  Each commutation class holds exactly one
   lexicographically least word (Anisimov-Knuth 1979; Cartier-Foata
   1969).  A word is that one iff there are no i < j with a_j < a_i and
@@ -43,15 +68,15 @@ are the oracles.  orbit_and_class_report is the engine behind the
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import gcd
 
-from .counting import chain_count
+from .counting import chain_count, nc_rank_count
 from .perm import KParams, Permutation, from_cycles, long_cycle
 from .poset import build_poset
 
 Factorization = tuple[Permutation, ...]
 
-CHUNK = 1 << 13  # states of a frontier layer expanded at a time
+CHUNK = 1 << 13  # rotated states of a frontier layer expanded at a time
 
 
 def factorization_product(factors: Factorization) -> Permutation:
@@ -249,7 +274,7 @@ def phi_inverse(p: tuple[int, ...], params: KParams) -> Factorization:
 
 
 # ---------------------------------------------------------------------------
-# Frontier search over int64-packed states (see the module docstring).
+# Frontier search over rotation classes (see the module docstring).
 # ---------------------------------------------------------------------------
 
 
@@ -261,25 +286,29 @@ def orbit_and_class_report(params: KParams, max_states: int | None = None) -> di
 
     The orbit size equaling the chain count N^(n-1) certifies
     transitivity: the orbit consists of valid factorizations and the
-    chain count is the total number of them.  A request whose orbit or
-    factor table would exceed max_states, or whose states do not fit
-    the int64 packing, is refused with ValueError before anything is
-    allocated.
+    chain count is the total number of them.  A request whose orbit
+    would exceed max_states, whose support masks do not fit an int64
+    (N > 62) or whose states do not fit the int64 packing is refused
+    with ValueError before anything is allocated.
     """
     N, k, n = params.N, params.k, params.n
     cap = max_states if max_states is not None else 20_000_000
     expected = chain_count(n, k)
     if expected > cap:
         raise ValueError(f"the orbit has {expected} states, more than max_states = {cap}")
-    F = comb(N, k + 1)
-    if F > cap:
-        raise ValueError(f"the factor table has {F} rows, more than max_states = {cap}")
-    if F**n > 2**63 - 1:
-        raise ValueError(
-            f"{F}**{n} packed states exceed the int64 packing limit 2**63 - 1"
-        )
-    # for n = 1 the long cycle is its own only factorization
-    orbit_size, class_count = _frontier_search(N, k, n, cap) if n > 1 else (1, 1)
+    if n == 1:  # the long cycle is its own only factorization
+        orbit_size = class_count = 1
+    else:
+        if N > 62:
+            raise ValueError(f"N = {N} points do not fit the int64 support masks (N <= 62)")
+        # no cap on the A x N atom table is needed: every atom begins a
+        # maximal chain, so A <= expected <= cap
+        A = nc_rank_count(n, k, 1)
+        if A**n > 2**63 - 1:
+            raise ValueError(
+                f"{A}**{n} packed states exceed the int64 packing limit 2**63 - 1"
+            )
+        orbit_size, class_count = _frontier_search(N, k, n, cap)
     return {
         "orbit_size": orbit_size,
         "expected": expected,
@@ -288,21 +317,63 @@ def orbit_and_class_report(params: KParams, max_states: int | None = None) -> di
     }
 
 
-def _frontier_search(N: int, k: int, n: int, cap: int) -> tuple[int, int]:
-    """Orbit size and normal-form count of the canonical factorization's
-    Hurwitz orbit (n >= 2)."""
+def _atom_index(atoms, query):
+    """Index of each query mask among the sorted atom masks; a query
+    that is not an atom raises RuntimeError."""
+    idx = atoms.searchsorted(query).clip(max=atoms.size - 1)
+    if (atoms[idx] != query).any():
+        raise RuntimeError("a factor support is not an atom")
+    return idx
+
+
+def _atom_tables(N: int, k: int):
+    """The atoms as increasing int64 support masks, and the A x N table
+    whose entry [a, r] is the index of atom a rotated by r points
+    (x -> x + r mod N)."""
     import numpy as np
 
-    # The (k+1)-subsets of [0, N) as increasing bitmasks: those with top
-    # point t are the j-subsets of [0, t), a prefix of the level below,
-    # with bit t added.
-    masks = np.zeros(1, dtype=np.int64)
-    for j in range(1, k + 2):
-        masks = np.concatenate(
-            [masks[: comb(t, j - 1)] | 1 << t for t in range(j - 1, N)]
-        )
-    F = len(masks)
-    power = F ** np.arange(n, dtype=np.int64)
+    # j-point prefixes of atoms: their gaps are 1 mod k.  Those with top
+    # point t extend the sorted (j-1)-point prefixes with top t' < t,
+    # t - t' = 1 mod k, so the concatenation over t stays sorted.  The
+    # closing gap N - (sum of the others) is then 1 mod k as well.
+    atoms = np.left_shift(1, np.arange(N, dtype=np.int64))
+    tops = np.arange(N)
+    for _ in range(k):
+        keep = [(tops < t) & ((t - tops) % k == 1 % k) for t in range(N)]
+        atoms = np.concatenate([atoms[s] | 1 << t for t, s in enumerate(keep)])
+        tops = np.concatenate([np.full(s.sum(), t) for t, s in enumerate(keep)])
+    rot = np.empty((atoms.size, N), dtype=np.int64)
+    for r in range(N):
+        rot[:, r] = _atom_index(atoms, (atoms & (1 << N - r) - 1) << r | atoms >> N - r)
+    return atoms, rot
+
+
+def _frontier_search(N: int, k: int, n: int, cap: int) -> tuple[int, int]:
+    """Orbit size and normal-form count of the canonical factorization's
+    Hurwitz orbit (n >= 2, N <= 62)."""
+    import numpy as np
+
+    atoms, rot = _atom_tables(N, k)
+    A = atoms.size
+    power = A ** np.arange(n, dtype=np.int64)
+    bits = np.left_shift(1, np.arange(63, dtype=np.int64))
+    flat = rot.ravel()
+    nearest = rot.argmin(axis=1)  # a rotation giving each atom its least index
+    g = gcd(N, k + 1)  # every atom's stabiliser order divides g
+    step = N // g
+
+    def canonical(d):
+        """Least packed value over the N rotations of each column of
+        digits.  The least value has the least last digit, which the
+        rotations nearest[a] + j * step (j < g) of the last digit a reach."""
+        best = None
+        for j in range(g):
+            r = (nearest[d[-1]] + j * step) % N
+            v = flat[d[0] * N + r] * power[0]
+            for i in range(1, n):
+                v += flat[d[i] * N + r] * power[i]
+            best = v if best is None else np.minimum(best, v)
+        return best
 
     def distinct(x):
         """Sort a fresh 1-d array in place and return its distinct values."""
@@ -316,63 +387,75 @@ def _frontier_search(N: int, k: int, n: int, cap: int) -> tuple[int, int]:
             return np.zeros(x.shape, dtype=bool)
         return layer[np.minimum(np.searchsorted(layer, x), layer.size - 1)] == x
 
-    def normal_forms(m):
-        """How many rows of factor masks are least words of their class."""
-        least = np.ones(len(m), dtype=bool)
+    def normal_forms(d, m):
+        """How many of the N rotations of the columns are least words of
+        their commutation class."""
+        turned = rot[d]  # [i, column, r]: digit i of the column rotated by r
+        least = np.ones(turned.shape[1:], dtype=bool)
         for j in range(1, n):
-            union = np.zeros(len(m), dtype=np.int64)
+            union = np.zeros(d.shape[1], dtype=np.int64)
             for i in range(j - 1, -1, -1):
-                union |= m[:, i]
-                least &= (m[:, j] >= m[:, i]) | (m[:, j] & union != 0)
+                union |= m[i]
+                # supp a_j is disjoint from supp a_i..a_{j-1}; the union
+                # only grows, so no column is free further left either
+                free = m[j] & union == 0
+                if not free.any():
+                    break
+                least &= (turned[j] > turned[i]) | ~free[:, None]
         return int(least.sum())
 
-    def moves(states, digits, m):
-        """The 2(n-1) Hurwitz moves of each state, with repeats."""
+    def moves(d, m):
+        """Digit columns of the 2(n-1) Hurwitz moves of each column, with
+        repeats."""
         out = []
         for i in range(n - 1):
-            a, b, ma, mb = digits[:, i], digits[:, i + 1], m[:, i], m[:, i + 1]
-            rest = states - a * power[i] - b * power[i + 1]
+            ma, mb = m[i], m[i + 1]
             # Adjacent factors of a reduced factorization share at most
             # one point x: their product has reflection length 2k, so
             # their supports cover at least 2k + 1 points.  Without x,
             # both moves swap the pair.
             x = ma & mb
             meet = x != 0
-            out.append((rest + b * power[i] + a * power[i + 1])[~meet])
-            rest, a, b, ma, mb, x = (v[meet] for v in (rest, a, b, ma, mb, x))
+            swap = d[:, ~meet]
+            swap[[i, i + 1]] = swap[[i + 1, i]]
+            out.append(swap)
+            sigma, ma, mb, x = d[:, meet], ma[meet], mb[meet], x[meet]
             # With one, the conjugate's support trades x for b^{-1}(x),
             # the cyclic predecessor of x in supp b, or for a(x), the
             # cyclic successor of x in supp a.
             below, above = mb & (x - 1), ma & ~((x << 1) - 1)
             below = np.where(below != 0, below, mb)
             above = np.where(above != 0, above, ma)
-            # highest bit via the float exponent, exact as the packing
-            # limit keeps N below 53; lowest bit as v & -v
-            before = np.left_shift(1, np.frexp(below)[1] - 1, dtype=np.int64)
+            before = bits[np.searchsorted(bits, below, side="right") - 1]
             after = above & -above
-            c = np.searchsorted(masks, ma ^ x | before)
-            d = np.searchsorted(masks, mb ^ x | after)
-            out.append(rest + b * power[i] + c * power[i + 1])
-            out.append(rest + d * power[i] + a * power[i + 1])
-        return np.concatenate(out)
+            inverse = sigma.copy()
+            sigma[i] = inverse[i + 1]
+            sigma[i + 1] = _atom_index(atoms, ma ^ x | before)
+            inverse[i + 1] = inverse[i]
+            inverse[i] = _atom_index(atoms, mb ^ x | after)
+            out += [sigma, inverse]
+        return np.concatenate(out, axis=1)
 
     block = (1 << k + 1) - 1  # the i-th factor of the start is on [ik, ik + k]
-    start = int(np.searchsorted(masks, [block << i * k for i in range(n)]) @ power)
+    start = _atom_index(atoms, np.array([[block << i * k] for i in range(n)]))
     previous = np.empty(0, dtype=np.int64)
-    current = np.array([start], dtype=np.int64)
+    current = canonical(start)
+    per_chunk = max(1, CHUNK // N)  # a chunk's rotations fill CHUNK columns
     orbit_size = class_count = 0
     while current.size:
-        orbit_size += current.size
-        if orbit_size > cap:
-            raise RuntimeError(f"orbit exceeded max_states = {cap}")
         survivors = []
-        for lo in range(0, current.size, CHUNK):
-            chunk = current[lo : lo + CHUNK]
-            digits = chunk[:, None] // power % F
-            m = masks[digits]
-            class_count += normal_forms(m)
-            candidates = distinct(moves(chunk, digits, m))
+        for lo in range(0, current.size, per_chunk):
+            d = current[lo : lo + per_chunk] // power[:, None] % A
+            m = atoms[d]
+            orbit_size += N * d.shape[1]
+            class_count += normal_forms(d, m)
+            if orbit_size > cap:
+                raise RuntimeError(f"orbit exceeded max_states = {cap}")
+            candidates = distinct(canonical(moves(d, m)))
             fresh = ~(member(candidates, current) | member(candidates, previous))
             survivors.append(candidates[fresh])
-        previous, current = current, distinct(np.concatenate(survivors))
+        # drop layer d-1, then the survivors list, before the last sort
+        previous = current
+        survivors = np.concatenate(survivors)
+        current = distinct(survivors)
     return orbit_size, class_count

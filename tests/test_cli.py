@@ -8,6 +8,7 @@ import time
 import pytest
 
 import ncindiv
+from ncindiv import cli
 from ncindiv.cli import main
 
 
@@ -128,6 +129,19 @@ def test_unwritable_out_is_a_refusal(tmp_path, capsys):
     code = main(["count", "--k", "1", "--n", "3", "--out", str(target)])
     assert code == 2
     captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_memory_error_is_a_refusal(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_poset", exhausted)
+    code = main(["poset", "--k", "1", "--n", "11"])
+    captured = capsys.readouterr()
+    assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err

@@ -1,10 +1,11 @@
 import tracemalloc
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ncindiv import hurwitz
-from ncindiv.counting import chain_count, commutation_class_count
+from ncindiv.counting import chain_count, commutation_class_count, nc_rank_count
 from ncindiv.hurwitz import (
     commutation_classes,
     commute,
@@ -93,6 +94,19 @@ def consecutive_blocks(params):
     )
 
 
+@lru_cache(maxsize=None)
+def permutation_oracle(k, n):
+    """Orbit size of the consecutive blocks and the class count, both
+    from the Permutation-level oracles."""
+    params = KParams(k, n)
+    start = consecutive_blocks(params)
+    assert is_reduced_factorization(start, params)
+    return (
+        len(hurwitz_orbit(start)),
+        len(commutation_classes(enumerate_factorizations(params))),
+    )
+
+
 def test_packed_report_matches_slow_path():
     for k, n in ((2, 3), (1, 4)):
         params = KParams(k, n)
@@ -100,32 +114,69 @@ def test_packed_report_matches_slow_path():
         assert report["orbit_size"] == chain_count(n, k)
         assert report["transitive"]
         assert report["class_count"] == commutation_class_count(n, k)
-    # against the Permutation-level oracles, for every N <= 7
+    # against the Permutation-level oracles, for every N <= 7; capped at
+    # the chain count, which no orbit exceeds, so a search that revisits
+    # states fails at once instead of running to the default cap
     for k in range(1, 7):
         for n in range(1, 6 // k + 1):
-            params = KParams(k, n)
-            start = consecutive_blocks(params)
-            assert is_reduced_factorization(start, params)
-            report = orbit_and_class_report(params)
-            assert report["orbit_size"] == len(hurwitz_orbit(start))
-            assert report["class_count"] == len(
-                commutation_classes(enumerate_factorizations(params))
+            report = orbit_and_class_report(KParams(k, n), chain_count(n, k))
+            assert (report["orbit_size"], report["class_count"]) == (
+                permutation_oracle(k, n)
             )
 
 
 def test_tiny_chunks_match_the_oracles(monkeypatch):
-    # 7-state chunks split every layer past the first few, so moves
-    # deduplicated inside one chunk meet their repeats in the others
+    # one representative a chunk, so moves deduplicated inside one chunk
+    # meet their repeats in the others
     monkeypatch.setattr(hurwitz, "CHUNK", 7)
     for k in range(1, 7):
         for n in range(2, 6 // k + 1):
-            params = KParams(k, n)
-            orbit = hurwitz_orbit(consecutive_blocks(params))
-            classes = commutation_classes(enumerate_factorizations(params))
-            assert hurwitz._frontier_search(params.N, k, n, 10**6) == (
-                len(orbit),
-                len(classes),
+            assert hurwitz._frontier_search(k * n + 1, k, n, chain_count(n, k)) == (
+                permutation_oracle(k, n)
             )
+
+
+def support_mask(t):
+    return sum(1 << x - 1 for cyc in t.cycles() if len(cyc) > 1 for x in cyc)
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (1, 4), (1, 5), (2, 2), (2, 3), (3, 2)])
+def test_full_twist_conjugates_by_the_inverse_long_cycle(k, n):
+    # (sigma_1 ... sigma_{n-1})^n sends every factor t to c^{-1} t c, whose
+    # support is supp t rotated by -1, so every orbit is closed under the
+    # rotations the frontier search quotients by
+    params = KParams(k, n)
+    N = params.N
+    c = long_cycle(N)
+    atoms, rot = hurwitz._atom_tables(N, k)
+    index = {int(a): i for i, a in enumerate(atoms)}
+    for f in enumerate_factorizations(params):
+        g = f
+        for _ in range(n):
+            for i in range(n - 1):
+                g = hurwitz_move(g, i)
+        assert g == tuple(c.inverse() * t * c for t in f)
+        digits = [index[support_mask(t)] for t in f]
+        assert [index[support_mask(t)] for t in g] == [rot[a, N - 1] for a in digits]
+        # no rotation fixes a factorization, so its class holds N states
+        assert len({tuple(rot[a, r] for a in digits) for r in range(N)}) == N
+    # the rotation table maps atoms onto atoms
+    full = (1 << N) - 1
+    for r in range(N):
+        assert sorted(rot[:, r]) == list(range(len(atoms)))
+        for a, mask in enumerate(atoms.tolist()):
+            assert atoms[rot[a, r]] == (mask << r | mask >> N - r) & full
+
+
+@pytest.mark.parametrize(
+    "k, n", [(1, 4), (1, 5), (2, 3), (2, 4), (3, 3), (3, 4), (4, 2)]
+)
+def test_factors_are_exactly_the_atoms(k, n):
+    params = KParams(k, n)
+    atoms, _ = hurwitz._atom_tables(params.N, k)
+    supports = {support_mask(t) for f in enumerate_factorizations(params) for t in f}
+    assert sorted(supports) == atoms.tolist()  # increasing, no repeats
+    assert len(atoms) == nc_rank_count(n, k, 1)
 
 
 @pytest.mark.parametrize("k, n", [(1, 7), (2, 5)])
@@ -138,8 +189,9 @@ def test_layers_spanning_many_chunks_match_one_default_chunk(monkeypatch, k, n):
 
 
 def test_frontier_memory_follows_the_layers():
-    # numpy reports its buffers to tracemalloc; expanding whole layers
-    # at once peaks at about 10 MB here, chunks at about 3.5 MB
+    # numpy reports its buffers to tracemalloc; expanding whole layers of
+    # states at once peaks at about 10 MB here, chunks of states at about
+    # 3 MB, chunks of rotation classes at about 1.3 MB
     tracemalloc.start()
     try:
         hurwitz._frontier_search(8, 1, 7, 10**6)
@@ -149,10 +201,31 @@ def test_frontier_memory_follows_the_layers():
     assert peak < 5 * 2**20
 
 
-def test_report_refuses_past_the_int64_packing():
-    # 3876**6 packed states overflow int64
+@pytest.mark.parametrize("k, n", [(4, 5), (6, 4), (26, 2), (18, 3)])
+def test_report_runs_where_atom_digits_fit_the_packing(k, n):
+    # (4,5) and (6,4) overflow int64 with all (k+1)-subsets as digits;
+    # (26,2) and (18,3) have N = 53 and N = 55, masks past 2**52
+    report = orbit_and_class_report(KParams(k, n))
+    assert report["orbit_size"] == chain_count(n, k)
+    assert report["transitive"]
+    assert report["class_count"] == commutation_class_count(n, k)
+
+
+def refuse_searching(*args):
+    raise AssertionError("the search ran")
+
+
+def test_report_refuses_past_the_int64_packing(monkeypatch):
+    # 6370**5 packed states overflow int64
+    monkeypatch.setattr(hurwitz, "_frontier_search", refuse_searching)
     with pytest.raises(ValueError, match="packing"):
-        orbit_and_class_report(KParams(3, 6))
+        orbit_and_class_report(KParams(11, 5))
+
+
+def test_report_refuses_masks_past_62_points(monkeypatch):
+    monkeypatch.setattr(hurwitz, "_frontier_search", refuse_searching)
+    with pytest.raises(ValueError, match="N <= 62"):
+        orbit_and_class_report(KParams(31, 2))
 
 
 @given(st.sampled_from([(1, 3), (2, 2), (2, 3), (3, 2)]), st.randoms())
