@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import gt, sub
+from typing import Iterator
 
+from .counting import nc_cardinality
 from .nc import NoncrossingElement, kreweras
 from .perm import KParams, from_cycles
 
@@ -274,17 +277,14 @@ def is_staircase_path(word: str, params: KParams) -> bool:
         return False
     if len(word) != n + 1 + N or not word.startswith("U"):
         return False
-    ups = 0
+    # only U's and R's remain; the i-th U allows 1 + k(i-1) R's so far
     downs = 0
-    for ch in word:
-        if ch == "U":
-            ups += 1
-        elif ch == "R":
-            downs += 1
-            if downs > 1 + k * (ups - 1):
-                return False
-        else:
+    limit = 1
+    for run in word[1:].split("U"):
+        downs += len(run)
+        if downs > limit:
             return False
+        limit += k
     return True
 
 
@@ -397,24 +397,86 @@ def enumerate_ideals(params: KParams) -> list[OrderIdeal]:
 
 
 def ideal_to_path(ideal: OrderIdeal) -> str:
-    """Encode an ideal by the offsets e_j = a_j - c_{n+1-j} of its
-    row counts, reading rows from the last to the first."""
-    n, k, N = ideal.params.n, ideal.params.k, ideal.params.N
-    counts = ideal.row_counts()
+    """The staircase path of an ideal, from its row counts."""
+    return counts_to_path(ideal.row_counts(), ideal.params)
+
+
+def counts_to_path(counts: tuple[int, ...], params: KParams) -> str:
+    """Encode the ideal with row counts c_1..c_n by the offsets
+    e_j = a_j - c_{n+1-j}, reading rows from the last to the first."""
+    k, N = params.k, params.N
     word = ["U"]
     prev = 0
-    for j in range(1, n + 1):
-        a = k * (j - 1) + 1
-        e = a - counts[n - j]
+    a = 1
+    for c in reversed(counts):
+        e = a - c
         if e < prev:
             raise AssertionError("offsets must be nondecreasing")
         word.append("R" * (e - prev) + "U")
         prev = e
+        a += k
     word.append("R" * (N - prev))
     out = "".join(word)
-    if not is_staircase_path(out, ideal.params):
+    if not is_staircase_path(out, params):
         raise AssertionError("ideal produced an invalid path")
     return out
+
+
+def check_row_counts(counts: tuple[int, ...], params: KParams) -> None:
+    """OrderIdeal's checks in count form: row r (from 0) holds a prefix
+    of its k(n-1-r)+1 arcs, and the lower cover (a + k, b) of each arc
+    forces c_{r+1} >= c_r - k."""
+    n, k = params.n, params.k
+    caps = range(k * (n - 1) + 1, 0, -k)  # k(n-1-r)+1 for r = 0..n-1
+    if len(counts) != n or min(counts) < 0 or any(map(gt, counts, caps)):
+        raise ValueError("ideal contains a non-element")
+    if max(map(sub, counts, counts[1:]), default=0) > k:
+        raise ValueError("set is not down-closed")
+
+
+def counts_to_arcs(counts: tuple[int, ...], k: int) -> list[tuple[int, int]]:
+    """The sorted arcs of the ideal with these row counts."""
+    return [
+        (k * r + 1, k * r + 1 + t)
+        for r, c in enumerate(counts)
+        for t in range(1, c + 1)
+    ]
+
+
+def nonnesting_rows(params: KParams) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(path, row counts) of every order ideal, in path order, with no
+    arc set built.
+
+    The counts are chosen from the last row up, each row in ascending
+    order, under the rule of enumerate_ideals: c_r <= k(n-1-r)+1 and
+    c_r <= c_{r+1} + k.  The path reads the rows from the last one up,
+    and a smaller count gives a larger offset, that is an R where the
+    other word has its U ('R' < 'U'), so the rows come in path order.
+    Every vector passes check_row_counts and counts_to_path.  The paths
+    must increase strictly, so no two ideals share one, and when the
+    iteration ends there must be nc_cardinality(n, k) of them.
+    """
+    n, k = params.n, params.k
+    caps = [k * (n - 1 - r) + 1 for r in range(n)]
+    size = 0
+    last = ""
+    stack: list[tuple[int, ...]] = [()]  # suffixes c_r..c_{n-1}
+    while stack:
+        suffix = stack.pop()
+        r = n - 1 - len(suffix)
+        if r >= 0:
+            hi = min(caps[r], suffix[0] + k) if suffix else caps[r]
+            stack.extend((c,) + suffix for c in range(hi, -1, -1))
+            continue
+        check_row_counts(suffix, params)
+        path = counts_to_path(suffix, params)
+        if path <= last:
+            raise AssertionError("paths out of order or shared by two ideals")
+        last = path
+        size += 1
+        yield path, suffix
+    if size != nc_cardinality(n, k):
+        raise AssertionError("ideal count differs from the closed form")
 
 
 def path_to_ideal(word: str, params: KParams) -> OrderIdeal:

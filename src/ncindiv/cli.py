@@ -17,12 +17,7 @@ import argparse
 import json
 import sys
 
-from .bijections import (
-    compose_path,
-    enumerate_ideals,
-    ideal_to_path,
-    nc_to_paths,
-)
+from .bijections import compose_path, counts_to_arcs, nc_to_paths, nonnesting_rows
 from .counting import (
     chain_count,
     mdiv_cardinality,
@@ -46,7 +41,6 @@ from .verify import format_report, run_suite, suite_report
 
 FULL_POSET_MAX_N = 13  # refuse rather than hang on oversized builds
 CAMBRIAN_MAX_FACTORIZATIONS = 100_000  # build_cambrian lists every one
-DEFAULT_MAX_STATES = 10_000_000
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -197,8 +191,7 @@ def cmd_mdiv(args) -> int:
 
 def cmd_hurwitz(args) -> int:
     params = _params(args)
-    cap = args.max_states if args.max_states is not None else DEFAULT_MAX_STATES
-    report = orbit_and_class_report(params, max_states=cap)
+    report = orbit_and_class_report(params, max_states=args.max_states)
     record = {
         "k": params.k,
         "n": params.n,
@@ -277,20 +270,15 @@ def cmd_bijection(args) -> int:
 def cmd_nonnesting(args) -> int:
     params = _params(args)
     _guard_poset_size(params)
-    ideals = enumerate_ideals(params)
-    rows = sorted(
-        (ideal_to_path(ideal), sorted(ideal.arcs)) for ideal in ideals
-    )
+    rows = nonnesting_rows(params)
     if args.format == "json":
-        _emit(
-            json.dumps(
-                [{"path": p, "arcs": [list(a) for a in arcs]} for p, arcs in rows],
-                indent=2,
-            ),
-            args.out,
-        )
+        records = [
+            {"path": p, "arcs": [list(a) for a in counts_to_arcs(counts, params.k)]}
+            for p, counts in rows
+        ]
+        _emit(json.dumps(records, indent=2), args.out)
     else:
-        _emit("\n".join(p for p, _arcs in rows), args.out)
+        _emit("\n".join(p for p, _counts in rows), args.out)
     return 0
 
 

@@ -77,6 +77,7 @@ from .poset import build_poset
 Factorization = tuple[Permutation, ...]
 
 CHUNK = 1 << 13  # rotated states of a frontier layer expanded at a time
+DEFAULT_MAX_STATES = 10_000_000  # orbit cap of `hurwitz` and `verify`
 
 
 def factorization_product(factors: Factorization) -> Permutation:
@@ -292,7 +293,7 @@ def orbit_and_class_report(params: KParams, max_states: int | None = None) -> di
     with ValueError before anything is allocated.
     """
     N, k, n = params.N, params.k, params.n
-    cap = max_states if max_states is not None else 20_000_000
+    cap = max_states if max_states is not None else DEFAULT_MAX_STATES
     expected = chain_count(n, k)
     if expected > cap:
         raise ValueError(f"the orbit has {expected} states, more than max_states = {cap}")

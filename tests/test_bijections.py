@@ -1,4 +1,5 @@
-from itertools import chain, combinations
+import tracemalloc
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,8 +9,11 @@ from ncindiv.bijections import (
     arc_poset_elements,
     ary_to_dyck,
     boundary_path,
+    check_row_counts,
     compose_path,
     contract,
+    counts_to_arcs,
+    counts_to_path,
     dyck_to_ary,
     enumerate_ideals,
     expand,
@@ -21,6 +25,7 @@ from ncindiv.bijections import (
     nc_to_nn,
     nc_to_paths,
     nn_to_nc,
+    nonnesting_rows,
     path_decompose,
     path_to_ideal,
     split_tree,
@@ -157,3 +162,104 @@ def test_order_ideal_rejects_a_non_element():
         OrderIdeal(params, frozenset({(2, 3)}))
     with pytest.raises(ValueError, match="non-element"):
         OrderIdeal(params, frozenset({(1, 2), (1, 5)}))
+
+
+# ---------------------------------------------------------------------------
+# The nonnesting side on row counts, against the arc-set oracle
+# ---------------------------------------------------------------------------
+
+# every (k, n) that the CLI accepts (N <= 13) with at most 5,000 ideals
+ORACLE_PARAMS = [
+    (k, n)
+    for k in range(1, 13)
+    for n in range(1, 13)
+    if k * n <= 12 and nc_cardinality(n, k) <= 5000
+]
+
+
+@pytest.mark.parametrize("k, n", ORACLE_PARAMS)
+def test_count_rows_match_the_ideal_oracle(k, n):
+    params = KParams(k, n)
+    rows = list(nonnesting_rows(params))
+    expected = sorted(
+        (ideal_to_path(ideal), sorted(ideal.arcs))
+        for ideal in enumerate_ideals(params)
+    )
+    assert [(p, counts_to_arcs(c, k)) for p, c in rows] == expected
+    for path, counts in rows:
+        assert path_to_ideal(path, params).row_counts() == counts
+
+
+def test_row_counts_fail_exactly_where_order_ideal_does():
+    # every count vector in a box one past the row lengths, negative
+    # counts included, gets OrderIdeal's verdict and message
+    for k, n in [(1, 3), (2, 3), (3, 2), (1, 4)]:
+        params = KParams(k, n)
+        for counts in product(range(-1, k * (n - 1) + 3), repeat=n):
+            try:
+                OrderIdeal(params, frozenset(counts_to_arcs(counts, k)))
+                expected = None
+            except ValueError as exc:
+                expected = str(exc)
+            if min(counts) < 0:
+                expected = "ideal contains a non-element"
+            if expected is None:
+                check_row_counts(counts, params)
+            else:
+                with pytest.raises(ValueError, match=expected):
+                    check_row_counts(counts, params)
+
+
+def test_row_counts_rejections():
+    params = KParams(2, 3)  # rows hold at most 5, 3 and 1 arcs
+    check_row_counts((5, 3, 1), params)
+    check_row_counts((2, 0, 0), params)
+    with pytest.raises(ValueError, match="not down-closed"):
+        check_row_counts((3, 0, 0), params)  # c_2 = 0 < c_1 - k = 1
+    with pytest.raises(ValueError, match="not down-closed"):
+        check_row_counts((2, 3, 0), params)
+    for counts in [(6, 4, 1), (5, 3, 2), (0, -1, 0), (0, 0), (0, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="non-element"):
+            check_row_counts(counts, params)
+
+
+def test_counts_to_path_rejects_decreasing_offsets():
+    with pytest.raises(AssertionError, match="nondecreasing"):
+        counts_to_path((0, 3), KParams(1, 2))
+
+
+def test_staircase_runs_agree_with_the_step_by_step_walk():
+    def walk(word, params):
+        if len(word) != params.n + 1 + params.N or not word.startswith("U"):
+            return False
+        ups = downs = 0
+        for ch in word:
+            ups += ch == "U"
+            downs += ch == "R"
+            if ch == "R" and downs > 1 + params.k * (ups - 1):
+                return False
+        return ups == params.n + 1 and downs == params.N
+
+    for k, n in [(1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]:
+        params = KParams(k, n)
+        length = n + 1 + params.N
+        for size in (length - 1, length, length + 1):
+            for letters in product("UR", repeat=size):
+                word = "".join(letters)
+                assert is_staircase_path(word, params) == walk(word, params)
+    assert not is_staircase_path("UURRx", KParams(1, 1))
+
+
+def test_count_rows_peak_memory():
+    # tracemalloc peak at (1,9), 16,796 ideals: the rows take 3.9 MB,
+    # while enumerate_ideals with the sorted (path, arcs) rows it
+    # replaces takes 36.2 MB
+    params = KParams(1, 9)
+    tracemalloc.start()
+    try:
+        rows = list(nonnesting_rows(params))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 16796
+    assert peak < 12 * 2**20

@@ -214,6 +214,10 @@ PINNED_STDOUT = {
         "62a7faf5d32a3203340c358d2fd14a01be770257ceebcfdab020fe6cbf6a93e0",
     ("nonnesting", "--k", "2", "--n", "4", "--format", "json"):
         "f9238a3a5a8d1691d7a988b7799fc374dac0056fc2a84547b0e8e30348ecb56d",
+    ("nonnesting", "--k", "1", "--n", "8"):
+        "a518b553a12b4c70622fda34e6e2a89c7d5b93028216ef2ae482850b30542f06",
+    ("nonnesting", "--k", "3", "--n", "3", "--format", "json"):
+        "2acd6279419f3f12495053f86c1389528f210076e6f986f9f6e61433fba45d7f",
     ("cambrian", "--k", "2", "--n", "3", "--format", "json"):
         "7682cb301db21fe71a4001d033d9def5adbc42faedf99bc7a05a222bb698d392",
 }

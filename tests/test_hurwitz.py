@@ -222,6 +222,15 @@ def test_report_refuses_past_the_int64_packing(monkeypatch):
         orbit_and_class_report(KParams(11, 5))
 
 
+def test_report_default_cap_refuses_before_searching(monkeypatch):
+    # 15**6 = 11,390,625 states, past DEFAULT_MAX_STATES; verify passes
+    # max_states=None, so this is its cap as well as that of `hurwitz`
+    monkeypatch.setattr(hurwitz, "_frontier_search", refuse_searching)
+    assert chain_count(7, 2) > hurwitz.DEFAULT_MAX_STATES
+    with pytest.raises(ValueError, match="11390625 states"):
+        orbit_and_class_report(KParams(2, 7))
+
+
 def test_report_refuses_masks_past_62_points(monkeypatch):
     monkeypatch.setattr(hurwitz, "_frontier_search", refuse_searching)
     with pytest.raises(ValueError, match="N <= 62"):
