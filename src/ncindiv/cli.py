@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from .bijections import compose_path, counts_to_arcs, nc_to_paths, nonnesting_rows
 from .counting import (
@@ -49,6 +50,18 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as handle:
             handle.write(text if text.endswith("\n") else text + "\n")
+
+
+def _emit_json_list(records, out: str | None) -> None:
+    """Write what _emit(json.dumps(list(records), indent=2), out) would,
+    one record at a time, so the whole list is never held.  records must
+    not be empty."""
+    with open(out, "w") if out is not None else nullcontext(sys.stdout) as handle:
+        sep = "[\n"
+        for rec in records:
+            handle.write(sep + "  " + json.dumps(rec, indent=2).replace("\n", "\n  "))
+            sep = ",\n"
+        handle.write("\n]\n")
 
 
 def _params(args) -> KParams:
@@ -272,11 +285,13 @@ def cmd_nonnesting(args) -> int:
     _guard_poset_size(params)
     rows = nonnesting_rows(params)
     if args.format == "json":
-        records = [
-            {"path": p, "arcs": [list(a) for a in counts_to_arcs(counts, params.k)]}
-            for p, counts in rows
-        ]
-        _emit(json.dumps(records, indent=2), args.out)
+        _emit_json_list(
+            (
+                {"path": p, "arcs": [list(a) for a in counts_to_arcs(counts, params.k)]}
+                for p, counts in rows
+            ),
+            args.out,
+        )
     else:
         _emit("\n".join(p for p, _counts in rows), args.out)
     return 0
@@ -284,8 +299,7 @@ def cmd_nonnesting(args) -> int:
 
 def cmd_typeb_orbit(args) -> int:
     params = _params(args)
-    cap = args.max_states if args.max_states is not None else 2_000_000
-    checks = typeb_report(params.n, params.k, max_states=cap)
+    checks = typeb_report(params.n, params.k, max_states=args.max_states)
     record = [
         {
             "name": c.name,

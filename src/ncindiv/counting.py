@@ -72,18 +72,12 @@ def nc_cardinality(n: int, k: int) -> int:
 def nc_rank_count(n: int, k: int, r: int) -> int:
     """Number of k-indivisible noncrossing partitions of rank r.
 
-    The poset on [kn+1] is graded with ranks 0..n; rank r holds
-    (1/N) C(n, r) C(kn+1, n-r) * (n-r) ... in closed product form
-    Ran-convolution style.  Concretely the count is the two-parameter
-    Fuss-Narayana number (1/N) * C(N, r) * ... expressed below via the
-    rank-jump formula with a single jump profile.
+    The poset on [kn+1] is graded with ranks 0..n.  Rank r holds the
+    rank-jump count for the profile (r, n - r), that is
+    (1/N) * Ran(r, 1 - k, N) * Ran(n - r, 1 - k, N) with N = kn + 1.
     """
     if not 0 <= r <= n:
         return 0
-    N = k * n + 1
-    # Multichains id <= x with rank(x) = r: jump profile (r, n - r).
-    # The product formula for rank-jump counts with q = 1 gives the
-    # rank sizes directly.
     return rank_jump_count(n, k, (r, n - r))
 
 

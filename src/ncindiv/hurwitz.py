@@ -71,7 +71,7 @@ from functools import lru_cache
 from math import gcd
 
 from .counting import chain_count, nc_rank_count
-from .perm import KParams, Permutation, from_cycles, long_cycle
+from .perm import KParams, Permutation, breadth_first, from_cycles, long_cycle
 from .poset import build_poset
 
 Factorization = tuple[Permutation, ...]
@@ -147,40 +147,24 @@ def enumerate_factorizations(params: KParams) -> list[Factorization]:
 
 def hurwitz_orbit(start: Factorization, max_states: int | None = None) -> set[Factorization]:
     """Breadth-first orbit of a factorization under all Hurwitz moves."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for i in range(len(f) - 1):
-                for inv in (False, True):
-                    g = hurwitz_move(f, i, inverse=inv)
-                    if g not in seen:
-                        if max_states is not None and len(seen) >= max_states:
-                            raise RuntimeError(
-                                f"orbit exceeded max_states = {max_states}"
-                            )
-                        seen.add(g)
-                        nxt.append(g)
-        frontier = nxt
-    return seen
+
+    def moves(f):
+        for i in range(len(f) - 1):
+            yield hurwitz_move(f, i)
+            yield hurwitz_move(f, i, inverse=True)
+
+    return set(breadth_first(start, moves, max_states))
 
 
 def commutation_class(start: Factorization) -> set[Factorization]:
     """Orbit of a factorization under swaps of adjacent commuting factors."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for i in range(len(f) - 1):
-                if commute(f[i], f[i + 1]):
-                    g = f[:i] + (f[i + 1], f[i]) + f[i + 2 :]
-                    if g not in seen:
-                        seen.add(g)
-                        nxt.append(g)
-        frontier = nxt
-    return seen
+
+    def swaps(f):
+        for i in range(len(f) - 1):
+            if commute(f[i], f[i + 1]):
+                yield f[:i] + (f[i + 1], f[i]) + f[i + 2 :]
+
+    return set(breadth_first(start, swaps))
 
 
 def commutation_classes(factorizations: list[Factorization]) -> list[set[Factorization]]:

@@ -31,6 +31,8 @@ from .perm import (
     long_cycle,
 )
 
+ENUMERATION_MAX_N = 17  # enumerate_nc refuses larger ground sets
+
 
 def crossing_witness(w: Permutation) -> tuple[int, int, int, int] | None:
     """A quadruple a < c < b < d with a, b in one block and c, d in
@@ -192,11 +194,13 @@ def iter_nc(params: KParams):
         yield NoncrossingElement(from_cycles(N, blocks), params)
 
 
-def enumerate_nc(params: KParams, bound: int = 17) -> list[NoncrossingElement]:
+def enumerate_nc(params: KParams) -> list[NoncrossingElement]:
     """All k-indivisible noncrossing partitions of [N], sorted by the
     image tuple of the underlying permutation."""
-    if params.N > bound:
-        raise ValueError(f"N = {params.N} exceeds enumeration bound {bound}")
+    if params.N > ENUMERATION_MAX_N:
+        raise ValueError(
+            f"N = {params.N} exceeds enumeration bound {ENUMERATION_MAX_N}"
+        )
     out = list(iter_nc(params))
     out.sort(key=lambda e: e.perm.image)
     return out

@@ -8,12 +8,15 @@ minima.  Fixed points are kept internally but omitted when printing.
 The module also provides the (k+1)-cycle generated word length ell_k,
 both in closed form (defined exactly on the permutations whose cycle
 lengths are all congruent to 1 mod k) and as a breadth-first oracle
-over the full generated subgroup for small K.
+over the full generated subgroup for small K.  `breadth_first` is the
+one search loop behind that oracle and behind the Hurwitz, commutation
+and type B oracles.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -191,43 +194,53 @@ def all_k1_cycles(K: int, k: int) -> list[Permutation]:
     return out
 
 
+def breadth_first(
+    start: Hashable,
+    neighbours: Callable[[Hashable], Iterable[Hashable]],
+    max_states: int | None = None,
+) -> dict:
+    """Distance from start of every state reachable through
+    neighbours(state), in visiting order.
+
+    Raises RuntimeError when a new state would make more than
+    max_states states.
+    """
+    dist = {start: 0}
+    queue = [start]
+    for state in queue:
+        d = dist[state] + 1
+        for new in neighbours(state):
+            if new not in dist:
+                if max_states is not None and len(dist) >= max_states:
+                    raise RuntimeError(f"orbit exceeded max_states = {max_states}")
+                dist[new] = d
+                queue.append(new)
+    return dist
+
+
 @lru_cache(maxsize=None)
 def _distance_table(K: int, k: int) -> dict[tuple[int, ...], int]:
     """BFS distances from the identity over the (k+1)-cycle generators."""
     gens = [g.image for g in all_k1_cycles(K, k)]
-    start = tuple(range(1, K + 1))
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for img in frontier:
-            d = dist[img]
-            for g in gens:
-                # right-multiply: (w * g)(x) = w(g(x))
-                new = tuple(img[y - 1] for y in g)
-                if new not in dist:
-                    dist[new] = d + 1
-                    nxt.append(new)
-        frontier = nxt
-    return dist
+    # right-multiply: (w * g)(x) = w(g(x))
+    return breadth_first(
+        tuple(range(1, K + 1)),
+        lambda img: [tuple(img[y - 1] for y in g) for g in gens],
+    )
 
 
-def ell_k_oracle(w: Permutation, k: int, bound: int | None = None) -> int:
+def ell_k_oracle(w: Permutation, k: int) -> int:
     """Exact word length of w over the (k+1)-cycles by breadth-first
     search, valid for small degrees (K <= 8).
 
-    Raises ValueError if w is not in the generated subgroup, or if a
-    bound is given and the true length exceeds it.
+    Raises ValueError if w is not in the generated subgroup.
     """
     if w.degree > 8:
         raise ValueError("oracle limited to degree <= 8")
     table = _distance_table(w.degree, k)
     if w.image not in table:
         raise ValueError(f"{w} is not a product of (k+1)-cycles for k = {k}")
-    d = table[w.image]
-    if bound is not None and d > bound:
-        raise ValueError(f"length {d} of {w} exceeds bound {bound}")
-    return d
+    return table[w.image]
 
 
 def covers_below(w: Permutation, k: int) -> set[Permutation]:

@@ -18,8 +18,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .counting import binomial
+from .perm import breadth_first
 
 SignedPerm = tuple[int, ...]
+
+DEFAULT_MAX_STATES = 2_000_000  # orbit cap of the lab report
 
 
 def sp_identity(m: int) -> SignedPerm:
@@ -92,46 +95,24 @@ def reflection_length_table(m: int) -> dict[SignedPerm, int]:
     if m > 6:
         raise ValueError("reflection-length table limited to m <= 6")
     gens = all_reflections(m)
-    start = sp_identity(m)
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            d = dist[w]
-            for g in gens:
-                u = sp_compose(w, g)
-                if u not in dist:
-                    dist[u] = d + 1
-                    nxt.append(u)
-        frontier = nxt
-    return dist
+    return breadth_first(
+        sp_identity(m), lambda w: [sp_compose(w, g) for g in gens]
+    )
+
+
+def _hurwitz_moves(f: tuple[SignedPerm, ...]):
+    """sigma_{i+1} and its inverse at every position i, in that order."""
+    for i in range(len(f) - 1):
+        a, b = f[i], f[i + 1]
+        yield f[:i] + (b, sp_compose(sp_compose(sp_inverse(b), a), b)) + f[i + 2 :]
+        yield f[:i] + (sp_compose(sp_compose(a, b), sp_inverse(a)), a) + f[i + 2 :]
 
 
 def hurwitz_orbit_signed(
-    start: tuple[SignedPerm, ...], max_states: int = 2_000_000
+    start: tuple[SignedPerm, ...], max_states: int = DEFAULT_MAX_STATES
 ) -> set[tuple[SignedPerm, ...]]:
     """Breadth-first Hurwitz orbit of a tuple of signed permutations."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for i in range(len(f) - 1):
-                a, b = f[i], f[i + 1]
-                moves = (
-                    (b, sp_compose(sp_compose(sp_inverse(b), a), b)),
-                    (sp_compose(sp_compose(a, b), sp_inverse(a)), a),
-                )
-                for pair in moves:
-                    g = f[:i] + pair + f[i + 2 :]
-                    if g not in seen:
-                        if len(seen) >= max_states:
-                            raise RuntimeError("orbit exceeded max_states")
-                        seen.add(g)
-                        nxt.append(g)
-        frontier = nxt
-    return seen
+    return set(breadth_first(start, _hurwitz_moves, max_states))
 
 
 @dataclass(frozen=True)
@@ -145,14 +126,16 @@ class LabCheck:
         return "PASS" if self.observed == self.conjectured else "OPEN"
 
 
-def typeb_report(n: int, k: int, max_states: int = 2_000_000) -> list[LabCheck]:
+def typeb_report(n: int, k: int, max_states: int | None = None) -> list[LabCheck]:
     """Orbit size, prefix census, and restricted zeta values for the
-    grouped type B factorization, against the conjectured formulas."""
+    grouped type B factorization, against the conjectured formulas.
+    max_states=None means DEFAULT_MAX_STATES."""
     m = k * n
     if m > 6:
         raise ValueError("type B lab limited to kn <= 6")
     start = grouped_factors(n, k)
-    orbit = hurwitz_orbit_signed(start, max_states=max_states)
+    cap = max_states if max_states is not None else DEFAULT_MAX_STATES
+    orbit = hurwitz_orbit_signed(start, max_states=cap)
     checks = [
         LabCheck("hurwitz orbit size", len(orbit), k ** (n - 1) * n**n)
     ]

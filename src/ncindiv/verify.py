@@ -62,11 +62,10 @@ class Check:
         }
 
 
-def _params_in_range(max_n: int, max_k: int, max_N: int | None = None):
+def _params_in_range(max_n: int, max_k: int):
     for k in range(1, max_k + 1):
         for n in range(1, max_n + 1):
-            if max_N is None or k * n + 1 <= max_N:
-                yield KParams(k, n)
+            yield KParams(k, n)
 
 
 def run_suite(max_n: int = 3, max_k: int = 3, max_states: int | None = None) -> list[Check]:

@@ -91,6 +91,9 @@ def test_typeb_subcommand(capsys):
     record = json.loads(out)
     assert {c["name"] for c in record} >= {"hurwitz orbit size", "prefix census"}
     assert all(c["status"] in ("PASS", "OPEN") for c in record)
+    code = main(["typeb-orbit", "--k", "2", "--n", "2", "--max-states", "3"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: orbit exceeded max_states = 3\n"
 
 
 def test_verify_subcommand(capsys):
@@ -106,6 +109,16 @@ def test_out_flag(tmp_path, capsys):
     assert code == 0
     assert target.read_text() == "30\n"
     assert capsys.readouterr().out == ""
+
+
+def test_nonnesting_json_out_matches_stdout(tmp_path, capsys):
+    argv = ["nonnesting", "--k", "2", "--n", "3", "--format", "json"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    target = tmp_path / "ideals.json"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == out
 
 
 def test_usage_errors(capsys):
@@ -220,6 +233,10 @@ PINNED_STDOUT = {
         "2acd6279419f3f12495053f86c1389528f210076e6f986f9f6e61433fba45d7f",
     ("cambrian", "--k", "2", "--n", "3", "--format", "json"):
         "7682cb301db21fe71a4001d033d9def5adbc42faedf99bc7a05a222bb698d392",
+    ("typeb-orbit", "--k", "1", "--n", "4"):
+        "0b276daf3ec272c508ef2e2889fcb8c27c4df8923ec40db7209f4be34d0e95d0",
+    ("typeb-orbit", "--k", "2", "--n", "2", "--format", "json"):
+        "7f8f75dabe30eb12f1317c5c48d1a0df0cf766ee3b23678efdf0e5fdf7677988",
 }
 
 

@@ -67,10 +67,13 @@ def test_orbit_is_everything_from_every_start():
 
 
 def test_orbit_cap():
+    start = enumerate_factorizations(KParams(2, 3))[0]
     with pytest.raises(RuntimeError):
-        hurwitz_orbit(
-            tuple(enumerate_factorizations(KParams(2, 3)))[0], max_states=5
-        )
+        hurwitz_orbit(start, max_states=5)
+    # the cap counts states: an orbit of exactly max_states passes
+    assert len(hurwitz_orbit(start, max_states=49)) == 49
+    with pytest.raises(RuntimeError, match="max_states = 48"):
+        hurwitz_orbit(start, max_states=48)
 
 
 def test_commutation_classes_counted():

@@ -5,6 +5,7 @@ from ncindiv.perm import (
     KParams,
     Permutation,
     all_k1_cycles,
+    breadth_first,
     covers_below,
     ell_k,
     ell_k_oracle,
@@ -122,3 +123,16 @@ def test_cycles_are_computed_once_and_leave_equality_alone():
     assert w.cycles(with_fixed_points=False) == ((1, 3), (2, 5, 4))
     assert w == twin and hash(w) == hash(twin)
     assert len({w, twin}) == 1
+
+
+def test_breadth_first_distances_order_and_cap():
+    def steps(i):
+        return ((i + 1) % 7, (i - 1) % 7)
+
+    dist = breadth_first(0, steps)
+    assert dist == {i: min(i, 7 - i) for i in range(7)}
+    order = list(dist.values())
+    assert order == sorted(order)
+    assert breadth_first(0, steps, max_states=len(dist)) == dist
+    with pytest.raises(RuntimeError, match="max_states = 6"):
+        breadth_first(0, steps, max_states=len(dist) - 1)

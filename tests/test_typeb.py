@@ -62,8 +62,13 @@ def test_orbit_moves_preserve_product():
 
 
 def test_orbit_cap():
+    start = grouped_factors(2, 2)
     with pytest.raises(RuntimeError):
-        hurwitz_orbit_signed(grouped_factors(2, 2), max_states=2)
+        hurwitz_orbit_signed(start, max_states=2)
+    # the cap counts states: an orbit of exactly max_states passes
+    assert len(hurwitz_orbit_signed(start, max_states=8)) == 8
+    with pytest.raises(RuntimeError, match="max_states = 7"):
+        hurwitz_orbit_signed(start, max_states=7)
 
 
 def test_labcheck_status_values():
