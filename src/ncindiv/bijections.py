@@ -20,7 +20,7 @@ from operator import gt, sub
 from typing import Iterator
 
 from .counting import nc_cardinality
-from .nc import NoncrossingElement, kreweras
+from .nc import NoncrossingElement, check_ground_set, kreweras
 from .perm import KParams, from_cycles
 
 PlaneTree = tuple  # nested tuples; a leaf is ()
@@ -145,12 +145,7 @@ def contract(tree: PlaneTree, k: int) -> PlaneTree:
             return ()
         if len(children) % k != 0:
             raise ValueError("plane tree is not k-divisible")
-        return tuple(group(c) for c in children[:k]) + (group_rest(children[k:]),)
-
-    def group_rest(children: tuple) -> PlaneTree:
-        if not children:
-            return ()
-        return tuple(group(c) for c in children[:k]) + (group_rest(children[k:]),)
+        return tuple(group(c) for c in children[:k]) + (group(children[k:]),)
 
     return group(tree)
 
@@ -454,8 +449,15 @@ def nonnesting_rows(params: KParams) -> Iterator[tuple[str, tuple[int, ...]]]:
     other word has its U ('R' < 'U'), so the rows come in path order.
     Every vector passes check_row_counts and counts_to_path.  The paths
     must increase strictly, so no two ideals share one, and when the
-    iteration ends there must be nc_cardinality(n, k) of them.
+    iteration ends there must be nc_cardinality(n, k) of them.  A
+    ground set past ENUMERATION_MAX_N is refused at the call, before the
+    first row.
     """
+    check_ground_set(params)
+    return _nonnesting_rows(params)
+
+
+def _nonnesting_rows(params: KParams) -> Iterator[tuple[str, tuple[int, ...]]]:
     n, k = params.n, params.k
     caps = [k * (n - 1 - r) + 1 for r in range(n)]
     size = 0

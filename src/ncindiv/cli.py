@@ -7,16 +7,24 @@ the type B lab, and the full verification suite.  Output is
 deterministic for fixed flags: enumerations are sorted and no
 timestamps appear in any data stream.
 
-Exit codes: 0 on success, 1 when `verify` finds a failing check, 2 on
-usage errors, refusals and unwritable output files.
+Each `cmd_*` handler only computes: it returns its output, a string or,
+for the streamed `nonnesting --format json`, an iterator of string
+chunks.  `main` alone writes it, to stdout or the `--out` file, and sets
+the exit code: 0 on success, 1 when `verify` finds a failing check or an
+internal check (an AssertionError) fails, 2 on usage errors, refusals,
+unwritable output files and exhausted memory.  The size caps live in the
+layers that allocate (`nc.ENUMERATION_MAX_N`,
+`geometry.CAMBRIAN_MAX_FACTORIZATIONS`, the orbit caps of `hurwitz` and
+`typeb`); this module has none.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import nullcontext
+from collections.abc import Iterable, Iterator
 
 from .bijections import compose_path, counts_to_arcs, nc_to_paths, nonnesting_rows
 from .counting import (
@@ -40,169 +48,145 @@ from .poset import build_poset
 from .typeb import typeb_report
 from .verify import format_report, run_suite, suite_report
 
-FULL_POSET_MAX_N = 13  # refuse rather than hang on oversized builds
-CAMBRIAN_MAX_FACTORIZATIONS = 100_000  # build_cambrian lists every one
+
+class ChecksFailed(Exception):
+    """Raised by cmd_verify, with its report as the one argument, when a
+    check fails: main writes the report and exits 1."""
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write(output: str | Iterable[str], out: str | None) -> None:
+    """Write a handler's output to the --out file or stdout: a string,
+    given a final newline if it lacks one, or its chunks as they are.
+    A write that fails part way removes the --out file, so no truncated
+    file is left."""
+    if isinstance(output, str):
+        output = [output if output.endswith("\n") else output + "\n"]
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(out, "w") as handle:
-            handle.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.writelines(output)
+        return
+    with open(out, "w") as handle:
+        try:
+            handle.writelines(output)
+        except BaseException:
+            handle.close()
+            os.remove(out)
+            raise
 
 
-def _emit_json_list(records, out: str | None) -> None:
-    """Write what _emit(json.dumps(list(records), indent=2), out) would,
-    one record at a time, so the whole list is never held.  records must
+def _json_list_chunks(records) -> Iterator[str]:
+    """The text json.dumps(list(records), indent=2) plus a newline, one
+    record at a time, so the whole list is never held.  records must
     not be empty."""
-    with open(out, "w") if out is not None else nullcontext(sys.stdout) as handle:
-        sep = "[\n"
-        for rec in records:
-            handle.write(sep + "  " + json.dumps(rec, indent=2).replace("\n", "\n  "))
-            sep = ",\n"
-        handle.write("\n]\n")
+    sep = "[\n"
+    for rec in records:
+        yield sep + "  " + json.dumps(rec, indent=2).replace("\n", "\n  ")
+        sep = ",\n"
+    yield "\n]\n"
 
 
 def _params(args) -> KParams:
     return KParams(args.k, args.n)
 
 
-def _guard_poset_size(params: KParams) -> None:
-    if params.N > FULL_POSET_MAX_N:
-        raise ValueError(
-            f"refusing full poset build at N = {params.N} > {FULL_POSET_MAX_N}"
-        )
-
-
-def cmd_count(args) -> int:
+def cmd_count(args) -> str:
     params = _params(args)
     if args.jumps is not None:
         jumps = tuple(int(x) for x in args.jumps.split(","))
-        _emit(str(rank_jump_count(params.n, params.k, jumps)), args.out)
-    elif args.rank is not None:
-        _emit(str(nc_rank_count(params.n, params.k, args.rank)), args.out)
-    elif args.m is not None:
-        _emit(str(mdiv_cardinality(params.n, params.k, args.m)), args.out)
-    else:
-        _emit(str(nc_cardinality(params.n, params.k)), args.out)
-    return 0
+        return str(rank_jump_count(params.n, params.k, jumps))
+    if args.rank is not None:
+        return str(nc_rank_count(params.n, params.k, args.rank))
+    if args.m is not None:
+        return str(mdiv_cardinality(params.n, params.k, args.m))
+    return str(nc_cardinality(params.n, params.k))
 
 
-def cmd_enumerate(args) -> int:
-    params = _params(args)
-    _guard_poset_size(params)
-    elements = enumerate_nc(params)
+def cmd_enumerate(args) -> str:
+    elements = enumerate_nc(_params(args))
     if args.rank is not None:
         elements = [e for e in elements if e.rank == args.rank]
     if args.format == "json":
-        _emit(json.dumps([e.to_record() for e in elements], indent=2), args.out)
-    else:
-        _emit("\n".join(str(e) for e in elements), args.out)
-    return 0
+        return json.dumps([e.to_record() for e in elements], indent=2)
+    return "\n".join(str(e) for e in elements)
 
 
-def cmd_poset(args) -> int:
+def cmd_poset(args) -> str:
     params = _params(args)
-    _guard_poset_size(params)
     poset = build_poset(params)
     if args.format == "dot":
-        _emit(poset.to_dot("nc_poset"), args.out)
-    elif args.format == "csv":
-        _emit(poset.rank_census_csv(), args.out)
-    elif args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "k": params.k,
-                    "n": params.n,
-                    "size": len(poset),
-                    "covers": sorted(poset.covers),
-                    "elements": [e.to_record() for e in poset.elements],
-                },
-                indent=2,
-            ),
-            args.out,
+        return poset.to_dot("nc_poset")
+    if args.format == "csv":
+        return poset.rank_census_csv()
+    if args.format == "json":
+        return json.dumps(
+            {
+                "k": params.k,
+                "n": params.n,
+                "size": len(poset),
+                "covers": sorted(poset.covers),
+                "elements": [e.to_record() for e in poset.elements],
+            },
+            indent=2,
         )
-    else:
-        census = ", ".join(
-            f"{r}:{c}" for r, c in sorted(poset.rank_census().items())
-        )
-        _emit(
-            f"elements {len(poset)}\ncovers {len(poset.covers)}\n"
-            f"rank census {census}",
-            args.out,
-        )
-    return 0
+    census = ", ".join(f"{r}:{c}" for r, c in sorted(poset.rank_census().items()))
+    return (
+        f"elements {len(poset)}\ncovers {len(poset.covers)}\n"
+        f"rank census {census}"
+    )
 
 
-def cmd_chains(args) -> int:
+def cmd_chains(args) -> str:
     params = _params(args)
-    _emit(str(chain_count(params.n, params.k)), args.out)
-    return 0
+    return str(chain_count(params.n, params.k))
 
 
-def cmd_zeta(args) -> int:
+def cmd_zeta(args) -> str:
     params = _params(args)
     if args.m is not None:
-        _emit(str(mdiv_zeta_value(params.n, params.k, args.m, args.q)), args.out)
-    else:
-        _emit(str(zeta_value(params.n, params.k, args.q)), args.out)
-    return 0
+        return str(mdiv_zeta_value(params.n, params.k, args.m, args.q))
+    return str(zeta_value(params.n, params.k, args.q))
 
 
-def cmd_mobius(args) -> int:
+def cmd_mobius(args) -> str:
     params = _params(args)
-    if args.m is not None:
-        record = {
-            "bottom_adjoined": mdiv_mobius_hat(params.n, params.k, args.m),
-            "minima_merged": mdiv_mobius_bar(params.n, params.k, args.m),
-        }
-        if args.format == "json":
-            _emit(json.dumps(record, indent=2), args.out)
-        else:
-            _emit(
-                f"bottom adjoined {record['bottom_adjoined']}\n"
-                f"minima merged {record['minima_merged']}",
-                args.out,
-            )
-    else:
-        _emit(str(mobius_invariant(params.n, params.k)), args.out)
-    return 0
+    if args.m is None:
+        return str(mobius_invariant(params.n, params.k))
+    record = {
+        "bottom_adjoined": mdiv_mobius_hat(params.n, params.k, args.m),
+        "minima_merged": mdiv_mobius_bar(params.n, params.k, args.m),
+    }
+    if args.format == "json":
+        return json.dumps(record, indent=2)
+    return (
+        f"bottom adjoined {record['bottom_adjoined']}\n"
+        f"minima merged {record['minima_merged']}"
+    )
 
 
-def cmd_mdiv(args) -> int:
+def cmd_mdiv(args) -> str:
     params = _params(args)
-    _guard_poset_size(params)
     poset = build_mdiv_poset(params, args.m)
     if args.format == "dot":
-        _emit(poset.to_dot("mdiv_poset"), args.out)
-    elif args.format == "csv":
-        _emit(poset.rank_census_csv(), args.out)
-    elif args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "k": params.k,
-                    "n": params.n,
-                    "m": args.m,
-                    "size": len(poset),
-                    "elements": sorted(str(c) for c in poset.elements),
-                },
-                indent=2,
-            ),
-            args.out,
+        return poset.to_dot("mdiv_poset")
+    if args.format == "csv":
+        return poset.rank_census_csv()
+    if args.format == "json":
+        return json.dumps(
+            {
+                "k": params.k,
+                "n": params.n,
+                "m": args.m,
+                "size": len(poset),
+                "elements": sorted(str(c) for c in poset.elements),
+            },
+            indent=2,
         )
-    else:
-        _emit(
-            f"elements {len(poset)}\ncovers {len(poset.covers)}\n"
-            f"minimal elements {len(poset.minimal_elements())}",
-            args.out,
-        )
-    return 0
+    return (
+        f"elements {len(poset)}\ncovers {len(poset.covers)}\n"
+        f"minimal elements {len(poset.minimal_elements())}"
+    )
 
 
-def cmd_hurwitz(args) -> int:
+def cmd_hurwitz(args) -> str:
     params = _params(args)
     report = orbit_and_class_report(params, max_states=args.max_states)
     record = {
@@ -218,86 +202,55 @@ def cmd_hurwitz(args) -> int:
         "commutation_classes": report["class_count"],
     }
     if args.format == "json":
-        _emit(json.dumps(record, indent=2), args.out)
-    else:
-        _emit(
-            "\n".join(f"{key} {value}" for key, value in record.items()),
-            args.out,
-        )
-    return 0
+        return json.dumps(record, indent=2)
+    return "\n".join(f"{key} {value}" for key, value in record.items())
 
 
-def cmd_cambrian(args) -> int:
+def cmd_cambrian(args) -> str:
     params = _params(args)
-    count = chain_count(params.n, params.k)
-    if count > CAMBRIAN_MAX_FACTORIZATIONS:
-        raise ValueError(
-            f"refusing Cambrian build over {count} factorizations"
-            f" > {CAMBRIAN_MAX_FACTORIZATIONS}"
-        )
     poset = build_cambrian(params)
     if args.format == "dot":
-        _emit(poset.to_dot("cambrian"), args.out)
-    elif args.format == "json":
-        _emit(
-            json.dumps(
-                {
-                    "k": params.k,
-                    "n": params.n,
-                    "size": len(poset),
-                    "covers": sorted(poset.covers),
-                    "dissections": [d.to_record() for d in poset.elements],
-                },
-                indent=2,
-            ),
-            args.out,
+        return poset.to_dot("cambrian")
+    if args.format == "json":
+        return json.dumps(
+            {
+                "k": params.k,
+                "n": params.n,
+                "size": len(poset),
+                "covers": sorted(poset.covers),
+                "dissections": [d.to_record() for d in poset.elements],
+            },
+            indent=2,
         )
-    else:
-        _emit(
-            f"dissections {len(poset)}\ncovers {len(poset.covers)}\n"
-            f"lattice {poset.is_lattice()}",
-            args.out,
-        )
-    return 0
+    return (
+        f"dissections {len(poset)}\ncovers {len(poset.covers)}\n"
+        f"lattice {poset.is_lattice()}"
+    )
 
 
-def cmd_bijection(args) -> int:
+def cmd_bijection(args) -> str:
     params = _params(args)
-    _guard_poset_size(params)
     rows = []
     for element in enumerate_nc(params):
         p1, p2 = nc_to_paths(element)
         rows.append((str(element), compose_path(p1, p2, params)))
     if args.format == "json":
-        _emit(
-            json.dumps(
-                [{"cycles": c, "path": p} for c, p in rows], indent=2
-            ),
-            args.out,
-        )
-    else:
-        _emit("\n".join(f"{c}\t{p}" for c, p in rows), args.out)
-    return 0
+        return json.dumps([{"cycles": c, "path": p} for c, p in rows], indent=2)
+    return "\n".join(f"{c}\t{p}" for c, p in rows)
 
 
-def cmd_nonnesting(args) -> int:
+def cmd_nonnesting(args) -> str | Iterator[str]:
     params = _params(args)
-    _guard_poset_size(params)
     rows = nonnesting_rows(params)
     if args.format == "json":
-        _emit_json_list(
-            (
-                {"path": p, "arcs": [list(a) for a in counts_to_arcs(counts, params.k)]}
-                for p, counts in rows
-            ),
-            args.out,
+        return _json_list_chunks(
+            {"path": p, "arcs": [list(a) for a in counts_to_arcs(counts, params.k)]}
+            for p, counts in rows
         )
-    else:
-        _emit("\n".join(p for p, _counts in rows), args.out)
-    return 0
+    return "\n".join(p for p, _counts in rows)
 
 
-def cmd_typeb_orbit(args) -> int:
+def cmd_typeb_orbit(args) -> str:
     params = _params(args)
     checks = typeb_report(params.n, params.k, max_states=args.max_states)
     record = [
@@ -310,26 +263,23 @@ def cmd_typeb_orbit(args) -> int:
         for c in checks
     ]
     if args.format == "json":
-        _emit(json.dumps(record, indent=2), args.out)
-    else:
-        _emit(
-            "\n".join(
-                f"{c['status']:4s} {c['name']}: observed {c['observed']}, "
-                f"conjectured {c['conjectured']}"
-                for c in record
-            ),
-            args.out,
-        )
-    return 0
+        return json.dumps(record, indent=2)
+    return "\n".join(
+        f"{c['status']:4s} {c['name']}: observed {c['observed']}, "
+        f"conjectured {c['conjectured']}"
+        for c in record
+    )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> str:
     checks = run_suite(
         max_n=args.max_n, max_k=args.max_k, max_states=args.max_states
     )
     report = suite_report(checks)
-    _emit(format_report(report, as_json=args.format == "json"), args.out)
-    return 1 if report["failed"] else 0
+    text = format_report(report, as_json=args.format == "json")
+    if report["failed"]:
+        raise ChecksFailed(text)
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,7 +353,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            output, code = args.func(args), 0
+        except ChecksFailed as failed:
+            output, code = failed.args[0], 1
+        _write(output, args.out)
+        return code
+    except AssertionError as exc:
+        sys.stderr.write(f"error: internal check failed: {exc}\n")
+        return 1
     except (ValueError, OverflowError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

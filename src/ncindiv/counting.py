@@ -184,6 +184,27 @@ def mdiv_mobius_bar(n: int, k: int, m: int) -> int:
     return (-1) ** n * (raney(n, k * (m + 1), m) - raney(n, k * m, m - 1))
 
 
+def typeb_orbit_size(n: int, k: int) -> int:
+    """Conjectured size of the Hurwitz orbit of the grouped type B
+    factorization of the Coxeter word of B_{kn}: k^(n-1) n^n.  A
+    conjecture, compared by the type B lab, not a theorem."""
+    return k ** (n - 1) * n**n
+
+
+def typeb_prefix_count(n: int, k: int) -> int:
+    """Conjectured number of prefix products over that Hurwitz orbit:
+    2 C(nk + n - 1, n - 1).  A conjecture, compared by the type B lab."""
+    return 2 * binomial(n * k + n - 1, n - 1)
+
+
+def typeb_zeta_value(n: int, k: int, q: int) -> int:
+    """Conjectured zeta value at q of the prefix products under the
+    reflection-length order, the number of (q-1)-element multichains:
+    q C(nk(q - 1) + n - 1, n - 1).  A conjecture, compared by the type B
+    lab."""
+    return q * binomial(n * k * (q - 1) + n - 1, n - 1)
+
+
 def nc_matrix(n: int, k: int) -> list[list[int]]:
     """The n x n matrix M with M[i][j] = C((n-j)k + 2, j - i + 1) for
     1-based i, j, whose determinant counts the poset."""

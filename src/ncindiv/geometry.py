@@ -23,6 +23,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .counting import chain_count
 from .hurwitz import (
     Factorization,
     commutation_classes,
@@ -32,6 +33,8 @@ from .hurwitz import (
 )
 from .perm import KParams, format_cycles, from_cycles, long_cycle
 from .poset import HasseDiagram, _reduction
+
+CAMBRIAN_MAX_FACTORIZATIONS = 100_000  # build_cambrian lists every one
 
 
 @dataclass(frozen=True)
@@ -302,7 +305,15 @@ def build_cambrian(params: KParams) -> HasseDiagram:
     Whether every pair has a meet and a join is reported by
     ``HasseDiagram.is_lattice``, not assumed.  Each rotation is looked up
     among the dissections, which ``theta`` has validated, so a rotation
-    that leaves them raises ValueError."""
+    that leaves them raises ValueError.  More than
+    CAMBRIAN_MAX_FACTORIZATIONS reduced factorizations are refused before
+    any is listed."""
+    count = chain_count(params.n, params.k)
+    if count > CAMBRIAN_MAX_FACTORIZATIONS:
+        raise ValueError(
+            f"refusing Cambrian build over {count} factorizations"
+            f" > {CAMBRIAN_MAX_FACTORIZATIONS}"
+        )
     dissections = all_dissections(params)
     index = {d.diagonals: i for i, d in enumerate(dissections)}
     two_n = 2 * params.N

@@ -31,7 +31,7 @@ from .perm import (
     long_cycle,
 )
 
-ENUMERATION_MAX_N = 17  # enumerate_nc refuses larger ground sets
+ENUMERATION_MAX_N = 13  # the one ground-set cap: larger requests are refused
 
 
 def crossing_witness(w: Permutation) -> tuple[int, int, int, int] | None:
@@ -194,13 +194,19 @@ def iter_nc(params: KParams):
         yield NoncrossingElement(from_cycles(N, blocks), params)
 
 
+def check_ground_set(params: KParams) -> None:
+    """Refuse, with ValueError, a full enumeration of [N] past
+    ENUMERATION_MAX_N, before anything is built."""
+    if params.N > ENUMERATION_MAX_N:
+        raise ValueError(
+            f"refusing full poset build at N = {params.N} > {ENUMERATION_MAX_N}"
+        )
+
+
 def enumerate_nc(params: KParams) -> list[NoncrossingElement]:
     """All k-indivisible noncrossing partitions of [N], sorted by the
     image tuple of the underlying permutation."""
-    if params.N > ENUMERATION_MAX_N:
-        raise ValueError(
-            f"N = {params.N} exceeds enumeration bound {ENUMERATION_MAX_N}"
-        )
+    check_ground_set(params)
     out = list(iter_nc(params))
     out.sort(key=lambda e: e.perm.image)
     return out

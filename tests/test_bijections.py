@@ -190,6 +190,12 @@ def test_count_rows_match_the_ideal_oracle(k, n):
         assert path_to_ideal(path, params).row_counts() == counts
 
 
+def test_count_rows_refuse_at_the_call():
+    # refused before the first row is asked for, so no output is opened
+    with pytest.raises(ValueError, match="N = 14 > 13"):
+        nonnesting_rows(KParams(1, 13))
+
+
 def test_row_counts_fail_exactly_where_order_ideal_does():
     # every count vector in a box one past the row lengths, negative
     # counts included, gets OrderIdeal's verdict and message

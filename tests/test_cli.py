@@ -8,7 +8,7 @@ import time
 import pytest
 
 import ncindiv
-from ncindiv import cli
+from ncindiv import bijections, cli, verify
 from ncindiv.cli import main
 
 
@@ -103,6 +103,33 @@ def test_verify_subcommand(capsys):
     assert report["failed"] == 0 and report["passed"] > 0
 
 
+def test_verify_failure_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "nc_cardinality", lambda n, k: 0)
+    code = main(["verify", "--max-n", "1", "--max-k", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "FAIL cardinality [k=1,n=1]" in captured.out
+    assert "3 failed" in captured.out
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_internal_check_failure_exits_1(monkeypatch, tmp_path, capsys, to_file):
+    # a wrong closed form trips the count check after the last record
+    monkeypatch.setattr(bijections, "nc_cardinality", lambda n, k: 0)
+    argv = ["nonnesting", "--k", "1", "--n", "3", "--format", "json"]
+    target = tmp_path / "f"
+    code = main(argv + ["--out", str(target)] if to_file else argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "error: internal check failed: ideal count differs from the closed form\n"
+    )
+    assert not target.exists()
+    if to_file:
+        assert captured.out == ""
+
+
 def test_out_flag(tmp_path, capsys):
     target = tmp_path / "count.txt"
     code = main(["count", "--k", "2", "--n", "3", "--out", str(target)])
@@ -135,6 +162,17 @@ def test_oversize_refusal(capsys):
     code = main(["enumerate", "--k", "2", "--n", "9"])  # N = 19 > 13
     assert code == 2
     assert "refusing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["poset", "nonnesting"])
+def test_refusal_creates_no_out_file(tmp_path, capsys, command):
+    target = tmp_path / "f"
+    code = main([command, "--k", "1", "--n", "13", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: refusing full poset build at N = 14 > 13\n"
+    assert not target.exists()
 
 
 def test_unwritable_out_is_a_refusal(tmp_path, capsys):
@@ -237,6 +275,22 @@ PINNED_STDOUT = {
         "0b276daf3ec272c508ef2e2889fcb8c27c4df8923ec40db7209f4be34d0e95d0",
     ("typeb-orbit", "--k", "2", "--n", "2", "--format", "json"):
         "7f8f75dabe30eb12f1317c5c48d1a0df0cf766ee3b23678efdf0e5fdf7677988",
+    ("enumerate", "--k", "2", "--n", "3", "--format", "json"):
+        "c9d26f1e4516a4ba3e415b69a6778374c5e162d5b1dadef9db3c8e84bc9a613b",
+    ("poset", "--k", "2", "--n", "3", "--format", "json"):
+        "3554c715ea63d1c0b597ae88cc7e5d450c70a89689ea3f8cea090d6b16259b79",
+    ("poset", "--k", "2", "--n", "3", "--format", "csv"):
+        "b28e7773beeca27b88895a596f5b79aba4050a873a4590dc0311ac2ca699f43f",
+    ("bijection", "--k", "2", "--n", "3", "--format", "json"):
+        "dd7b6f7012c6b6654cbb11d1a134790cd3f1e31eb354adc78f87d05e2db54467",
+    ("hurwitz", "--k", "2", "--n", "3", "--format", "json"):
+        "522e45cbbcbd487eb6548cc7c3fe57471a90a338e2f4c94cca615d86115270ab",
+    ("mobius", "--k", "2", "--n", "3", "--m", "2", "--format", "json"):
+        "df5ebbec22a3a20e028f9e3c8fe2471be133c447dffcb1413a8618e9fce61bf2",
+    ("mdiv", "--k", "2", "--n", "2", "--m", "2", "--format", "csv"):
+        "3ab2bbe17d6f7e44a2e9cdcde222ee4b46f73ed9a30e74dc735afda621ea8330",
+    ("verify", "--format", "json"):
+        "82e7f5edf9dcbc92bcf1199defb73223c5c5037aefb9ddb01dedf5b240994470",
 }
 
 

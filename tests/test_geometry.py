@@ -1,5 +1,6 @@
 import pytest
 
+from ncindiv import geometry
 from ncindiv.counting import commutation_class_count
 from ncindiv.geometry import (
     Dissection,
@@ -125,6 +126,15 @@ def test_cambrian_bounded_with_named_extremes():
         assert tuple(t.cycles(with_fixed_points=False)[0] for t in bottom_word) == expected_bottom
         assert tuple(t.cycles(with_fixed_points=False)[0] for t in top_word) == expected_top
         assert poset.is_lattice()
+
+
+def test_cambrian_refuses_before_listing(monkeypatch):
+    def listed(params):
+        raise AssertionError("all_dissections called past the cap")
+
+    monkeypatch.setattr(geometry, "all_dissections", listed)
+    with pytest.raises(ValueError, match="262144"):
+        build_cambrian(KParams(1, 7))
 
 
 def test_rotate_rejects_foreign_diagonal():

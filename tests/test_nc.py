@@ -81,3 +81,5 @@ def test_enumeration_is_sorted_and_bounded():
     assert images == sorted(images)
     with pytest.raises(ValueError):
         enumerate_nc(KParams(2, 9))
+    with pytest.raises(ValueError, match="N = 14 > 13"):
+        enumerate_nc(KParams(1, 13))
