@@ -42,8 +42,8 @@ def main() -> None:
     lattice = build_cambrian(params)
     print(f"\nCambrian poset: {len(lattice)} elements,"
           f" {len(lattice.covers)} covers, lattice: {lattice.is_lattice()}")
-    print(f"minimum: {lattice.labels[lattice.bottom()]}")
-    print(f"maximum: {lattice.labels[lattice.top()]}")
+    print(f"minimum: {lattice.elements[lattice.bottom()]}")
+    print(f"maximum: {lattice.elements[lattice.top()]}")
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import gt, sub
 from typing import Iterator
 
@@ -449,12 +450,29 @@ def nonnesting_rows(params: KParams) -> Iterator[tuple[str, tuple[int, ...]]]:
     other word has its U ('R' < 'U'), so the rows come in path order.
     Every vector passes check_row_counts and counts_to_path.  The paths
     must increase strictly, so no two ideals share one, and when the
-    iteration ends there must be nc_cardinality(n, k) of them.  A
-    ground set past ENUMERATION_MAX_N is refused at the call, before the
-    first row.
+    iteration ends there must be nc_cardinality(n, k) of them.  Two
+    checks run at the call, before the first row: a ground set past
+    ENUMERATION_MAX_N is refused, and the vectors are counted by
+    _row_vector_count against nc_cardinality(n, k).
     """
     check_ground_set(params)
+    if _row_vector_count(params) != nc_cardinality(params.n, params.k):
+        raise AssertionError("ideal count differs from the closed form")
     return _nonnesting_rows(params)
+
+
+def _row_vector_count(params: KParams) -> int:
+    """The number of vectors _nonnesting_rows yields, by a DP over the
+    rows from the last one up: ways[c] counts the suffixes whose first
+    row holds c arcs.  Row r admits c <= k(n-1-r)+1 over a next row of
+    at least c - k; that bound never passes the next row's cap, and a
+    row below the last one holds 0."""
+    n, k = params.n, params.k
+    ways = [1]
+    for r in range(n - 1, -1, -1):
+        tail = list(accumulate(reversed(ways)))[::-1]  # tail[c] = sum(ways[c:])
+        ways = [tail[max(c - k, 0)] for c in range(k * (n - 1 - r) + 2)]
+    return sum(ways)
 
 
 def _nonnesting_rows(params: KParams) -> Iterator[tuple[str, tuple[int, ...]]]:

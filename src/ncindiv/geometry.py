@@ -27,12 +27,11 @@ from .counting import chain_count
 from .hurwitz import (
     Factorization,
     commutation_classes,
-    class_representative,
     enumerate_factorizations,
     factorization_product,
 )
 from .perm import KParams, format_cycles, from_cycles, long_cycle
-from .poset import HasseDiagram, _reduction
+from .poset import HasseDiagram, closure
 
 CAMBRIAN_MAX_FACTORIZATIONS = 100_000  # build_cambrian lists every one
 
@@ -42,7 +41,8 @@ class Dissection:
     """A dissection of the labeled 2N-gon into (2k+2)-gons.
 
     Each diagonal is a pair (a, b): the chord from unbarred vertex a
-    (position 2a - 1) to barred vertex b (position 2b).
+    (position 2a - 1) to barred vertex b (position 2b).  str() gives the
+    theta_inverse word, computed when it is asked for.
     """
 
     params: KParams
@@ -61,6 +61,9 @@ class Dissection:
             faces = tuple(_split_faces(all_positions, set(self.positions())))
             object.__setattr__(self, "_faces", faces)
         return faces
+
+    def __str__(self) -> str:
+        return " | ".join(format_cycles(t) for t in theta_inverse(self))
 
     def to_record(self) -> dict:
         return {
@@ -258,7 +261,7 @@ def all_dissections(params: KParams) -> list[Dissection]:
     out = []
     seen = set()
     for cls in classes:
-        d = theta(class_representative(cls), params)
+        d = theta(next(iter(cls)), params)
         if d.diagonals in seen:
             raise ValueError("two commutation classes share a dissection")
         seen.add(d.diagonals)
@@ -328,15 +331,6 @@ def build_cambrian(params: KParams) -> HasseDiagram:
             if rotated not in index:
                 raise ValueError("a rotation left the dissections")
             edges.add((i, index[rotated]))
-    covers, down, up = _reduction(len(dissections), edges)
-    labels = tuple(
-        " | ".join(format_cycles(t) for t in theta_inverse(d)) for d in dissections
-    )
-    return HasseDiagram(
-        elements=tuple(dissections),
-        covers=covers,
-        rank=None,
-        labels=labels,
-        down=down,
-        up=up,
-    )
+    poset = HasseDiagram.from_order(dissections, closure(len(dissections), edges))
+    poset.covers = tuple(sorted(poset.covers))
+    return poset

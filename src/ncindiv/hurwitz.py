@@ -180,11 +180,6 @@ def commutation_classes(factorizations: list[Factorization]) -> list[set[Factori
     return classes
 
 
-def class_representative(cls: set[Factorization]) -> Factorization:
-    """Lexicographically least member, by factor image tuples."""
-    return min(cls, key=lambda f: tuple(t.image for t in f))
-
-
 def phi_parking(factors: Factorization) -> tuple[int, ...]:
     """The k-parking function of a factorization: the tuple of factor
     minima."""

@@ -26,15 +26,7 @@ from functools import lru_cache, reduce
 from operator import and_
 
 from .perm import KParams, Permutation, ell_k, format_cycles, long_cycle
-from .poset import (
-    HasseDiagram,
-    _bits,
-    _cover_pairs,
-    _reduction,
-    _up_from_down,
-    build_poset,
-    leq_nc,
-)
+from .poset import HasseDiagram, _bits, build_poset, leq_nc
 
 
 @dataclass(frozen=True)
@@ -108,50 +100,30 @@ def build_mdiv_poset(params: KParams, m: int) -> HasseDiagram:
         for masks in with_delta
     ]
     down = [reduce(and_, (above[i][g] for i, g in enumerate(row))) for row in deltas]
-    up = _up_from_down(down)
-    return HasseDiagram(
-        elements=tuple(chains),
-        covers=_cover_pairs(down, up),
-        rank=rank,
-        down=tuple(down),
-        up=up,
-    )
+    return HasseDiagram.from_order(chains, down, rank)
 
 
 def with_bottom(poset: HasseDiagram) -> HasseDiagram:
-    """The same poset with one artificial bottom element adjoined."""
-    shift = 1
-    covers = [(i + shift, j + shift) for i, j in poset.covers]
-    covers += [(0, i + shift) for i in poset.minimal_elements()]
-    return HasseDiagram(
-        elements=("bottom",) + tuple(poset.elements),
-        covers=tuple(covers),
-        rank=None,
-        labels=lambda: ("0",) + tuple(poset.labels),
+    """The same poset with one artificial bottom element, "0", adjoined
+    as element 0: every mask shifts up one place and gains the bottom."""
+    return HasseDiagram.from_order(
+        ("0",) + tuple(poset.elements),
+        (1,) + tuple(d << 1 | 1 for d in poset.down),
     )
 
 
 def with_merged_minima(poset: HasseDiagram) -> HasseDiagram:
-    """The quotient identifying all minimal elements to a single one."""
-    mins = set(poset.minimal_elements())
-    keep = [i for i in range(len(poset)) if i not in mins]
-    remap = {old: new + 1 for new, old in enumerate(keep)}
-    covers = set()
-    for i, j in poset.covers:
-        if i in mins:
-            covers.add((0, remap[j]))
-        elif j in mins:
-            raise ValueError("minimal element above something")
-        else:
-            covers.add((remap[i], remap[j]))
-    reduced, down, up = _reduction(len(keep) + 1, covers)
-    return HasseDiagram(
-        elements=("merged minimum",) + tuple(poset.elements[i] for i in keep),
-        covers=reduced,
-        rank=None,
-        labels=lambda: ("min",) + tuple(poset.labels[i] for i in keep),
-        down=down,
-        up=up,
+    """The quotient identifying all minimal elements with one, "min",
+    as element 0.  Every other element lies above some minimal one, so
+    its mask keeps the other elements below it, renumbered, and gains
+    element 0."""
+    keep = [i for i, d in enumerate(poset.down) if d != 1 << i]
+    bit = {old: 1 << new for new, old in enumerate(keep, 1)}
+    down = [1] + [
+        1 | sum(bit[i] for i in _bits(poset.down[j]) if i in bit) for j in keep
+    ]
+    return HasseDiagram.from_order(
+        ("min",) + tuple(poset.elements[i] for i in keep), down
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,46 +24,37 @@ def _bits(mask: int):
         mask ^= low
 
 
-class _Labels:
-    """The labels field of HasseDiagram.  A tuple passed in is kept as
-    it is; a function passed in is called on the first read, and with
-    nothing passed the labels are str() of each element, built on the
-    first read, since few callers read labels at all."""
-
-    def __get__(self, poset, owner=None):
-        if poset is None:
-            return None  # the field's default
-        labels = poset._labels
-        if labels is None:
-            poset._labels = tuple(str(e) for e in poset.elements)
-        elif callable(labels):
-            poset._labels = labels()
-        return poset._labels
-
-    def __set__(self, poset, labels) -> None:
-        poset._labels = labels
-
-
 @dataclass
 class HasseDiagram:
     """A finite poset given by its elements and cover relation.
 
     covers holds index pairs (i, j) meaning element i is covered by
-    element j.  rank is present only for graded posets.  down[i] and
-    up[i] are bitmasks of the weakly-below and weakly-above elements.
-    labels, one string per element, are built when first read.
+    element j, in the builder's order, which to_dot keeps.  rank is
+    present only for graded posets.  down[i] and up[i] are bitmasks of
+    the weakly-below and weakly-above elements: down is the closure of
+    the covers unless it is given, and up is always derived from down.
+    A builder that holds the masks rather than the covers calls
+    from_order instead.
     """
 
     elements: tuple
     covers: tuple[tuple[int, int], ...]
     rank: tuple[int, ...] | None = None
-    labels: tuple[str, ...] | Callable[[], tuple[str, ...]] | None = _Labels()
-    down: tuple[int, ...] = field(default_factory=tuple)
-    up: tuple[int, ...] = field(default_factory=tuple)
+    down: tuple[int, ...] = ()
+    up: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.down:
-            self.down, self.up = _closure(len(self.elements), self.covers)
+            self.down = closure(len(self.elements), self.covers)
+        self.up = _up_from_down(self.down)
+
+    @classmethod
+    def from_order(cls, elements, down, rank=None) -> HasseDiagram:
+        """The diagram of the order whose weakly-below masks are down,
+        with its covers read off the masks in j-major order."""
+        poset = cls(tuple(elements), (), rank, tuple(down))
+        poset.covers = _cover_pairs(poset.down, poset.up)
+        return poset
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -202,8 +192,8 @@ class HasseDiagram:
     def to_dot(self, name: str = "poset") -> str:
         """Graphviz DOT text of the Hasse diagram, edges upward."""
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
-        for i, label in enumerate(self.labels):
-            lines.append(f'  n{i} [label="{label}"];')
+        for i, element in enumerate(self.elements):
+            lines.append(f'  n{i} [label="{element}"];')
         for i, j in self.covers:
             lines.append(f"  n{i} -> n{j};")
         lines.append("}")
@@ -218,13 +208,15 @@ class HasseDiagram:
         return buf.getvalue()
 
 
-def _closure(size: int, covers: tuple[tuple[int, int], ...]):
-    """Reflexive-transitive closure of a cover relation as bitmasks."""
+def closure(size: int, relation) -> tuple[int, ...]:
+    """The weakly-below masks of the order on range(size) generated by
+    an acyclic relation of pairs (i, j), i below j: its
+    reflexive-transitive closure."""
     down = [1 << i for i in range(size)]
     children: dict[int, list[int]] = {}
     indeg = [0] * size
     out_edges: dict[int, list[int]] = {}
-    for i, j in covers:
+    for i, j in relation:
         children.setdefault(j, []).append(i)
         out_edges.setdefault(i, []).append(j)
         indeg[j] += 1
@@ -243,7 +235,7 @@ def _closure(size: int, covers: tuple[tuple[int, int], ...]):
     for j in order:
         for i in children.get(j, []):
             down[j] |= down[i]
-    return tuple(down), _up_from_down(down)
+    return tuple(down)
 
 
 def _up_from_down(down) -> tuple[int, ...]:
@@ -264,18 +256,6 @@ def _cover_pairs(down, up) -> tuple[tuple[int, int], ...]:
         for i in _bits(mask)
         if i != j and mask & up[i] == (1 << i | 1 << j)
     )
-
-
-def transitive_reduction(size: int, edges: set[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Cover pairs, sorted, of the partial order generated by an acyclic edge set."""
-    return _reduction(size, edges)[0]
-
-
-def _reduction(size: int, edges: set[tuple[int, int]]):
-    """Sorted cover pairs of the order generated by an acyclic edge set,
-    with the down and up masks of its closure."""
-    down, up = _closure(size, tuple(edges))
-    return tuple(sorted(_cover_pairs(down, up))), down, up
 
 
 def refines(u: Permutation, w: Permutation) -> bool:

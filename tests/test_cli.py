@@ -115,7 +115,7 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
 
 @pytest.mark.parametrize("to_file", [False, True])
 def test_internal_check_failure_exits_1(monkeypatch, tmp_path, capsys, to_file):
-    # a wrong closed form trips the count check after the last record
+    # a wrong closed form trips the count check before the first record
     monkeypatch.setattr(bijections, "nc_cardinality", lambda n, k: 0)
     argv = ["nonnesting", "--k", "1", "--n", "3", "--format", "json"]
     target = tmp_path / "f"
@@ -128,6 +128,18 @@ def test_internal_check_failure_exits_1(monkeypatch, tmp_path, capsys, to_file):
     assert not target.exists()
     if to_file:
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_internal_check_failure_prints_no_records(monkeypatch, capsys, fmt):
+    monkeypatch.setattr(bijections, "nc_cardinality", lambda n, k: 0)
+    code = main(["nonnesting", "--k", "1", "--n", "2", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "error: internal check failed: ideal count differs from the closed form\n"
+    )
 
 
 def test_out_flag(tmp_path, capsys):

@@ -50,7 +50,8 @@ def test_theta_is_a_bijection_onto_dissections():
 
 
 def test_theta_round_trip():
-    for k, n in ((1, 3), (2, 2), (2, 3), (3, 2)):
+    # theta_inverse also checks each word against the long cycle
+    for k, n in ((1, 3), (2, 2), (2, 3), (3, 2), (1, 4), (1, 5), (2, 4), (3, 3), (4, 3)):
         params = KParams(k, n)
         for d in all_dissections(params):
             word = theta_inverse(d)
@@ -135,6 +136,15 @@ def test_cambrian_refuses_before_listing(monkeypatch):
     monkeypatch.setattr(geometry, "all_dissections", listed)
     with pytest.raises(ValueError, match="262144"):
         build_cambrian(KParams(1, 7))
+
+
+def test_cambrian_build_never_calls_theta_inverse(monkeypatch):
+    def word(d):
+        raise AssertionError("theta_inverse called during the build")
+
+    monkeypatch.setattr(geometry, "theta_inverse", word)
+    poset = build_cambrian.__wrapped__(KParams(1, 4))
+    assert len(poset) == commutation_class_count(4, 1)
 
 
 def test_rotate_rejects_foreign_diagonal():

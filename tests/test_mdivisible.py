@@ -16,6 +16,7 @@ from ncindiv.mdivisible import (
     with_merged_minima,
 )
 from ncindiv.perm import KParams, ell_k, from_cycles, identity, long_cycle
+from ncindiv.poset import HasseDiagram, closure
 
 PARAMS = [(k, n, m) for k in (1, 2) for n in (1, 2, 3) for m in (1, 2, 3)]
 # cases small enough to compare every pair against the delta predicate
@@ -87,6 +88,14 @@ def test_completions_are_bounded():
     bar = with_merged_minima(poset)
     assert bar.bottom() == 0
     assert len(bar) == len(poset) - len(poset.minimal_elements()) + 1
+
+
+@pytest.mark.parametrize("k,n,m", PARAMS)
+def test_completion_masks_are_the_closure_of_their_covers(k, n, m):
+    poset = build_mdiv_poset(KParams(k, n), m)
+    hat, bar = with_bottom(poset), with_merged_minima(poset)
+    assert HasseDiagram(hat.elements, hat.covers).down == hat.down
+    assert closure(len(bar), bar.covers) == bar.down
 
 
 def test_rank_is_first_component_length():

@@ -11,16 +11,16 @@ from ncindiv.counting import (
     nc_rank_count,
     zeta_value,
 )
-from ncindiv.geometry import build_cambrian
+from ncindiv.geometry import build_cambrian, theta_inverse
 from ncindiv.mdivisible import with_bottom
-from ncindiv.perm import KParams, from_cycles, identity, long_cycle
+from ncindiv.perm import KParams, format_cycles, from_cycles, identity, long_cycle
 from ncindiv.poset import (
     HasseDiagram,
     _bits,
     build_poset,
+    closure,
     leq_nc,
     refines,
-    transitive_reduction,
 )
 
 
@@ -59,7 +59,7 @@ def test_closure_rejects_cycles():
 
 def test_transitive_reduction_drops_implied_edges():
     edges = {(0, 1), (1, 2), (0, 2)}
-    assert transitive_reduction(3, edges) == ((0, 1), (1, 2))
+    assert HasseDiagram.from_order(range(3), closure(3, edges)).covers == ((0, 1), (1, 2))
 
 
 def test_multichain_count_is_exact_past_int64():
@@ -119,13 +119,20 @@ def test_dot_and_csv_exports():
     assert poset.rank_census_csv() == "rank,count\r\n0,1\r\n1,1\r\n"
 
 
-def test_labels_default_to_element_strings_and_keep_given_ones():
+def node_labels(poset: HasseDiagram) -> list[str]:
+    dot = poset.to_dot()
+    return [line.split('"')[1] for line in dot.splitlines() if "[label=" in line]
+
+
+def test_dot_labels_are_element_strings():
     poset = build_poset(KParams(2, 2))
-    assert poset.labels == tuple(str(e) for e in poset.elements)
-    given_labels = tuple(f"x{i}" for i in range(len(poset)))
-    relabelled = HasseDiagram(poset.elements, poset.covers, labels=given_labels)
-    assert relabelled.labels is given_labels
-    assert with_bottom(poset).labels == ("0",) + poset.labels
+    assert node_labels(poset) == [str(e) for e in poset.elements]
+    cambrian = build_cambrian(KParams(1, 3))
+    assert node_labels(cambrian) == [
+        " | ".join(format_cycles(t) for t in theta_inverse(d))
+        for d in cambrian.elements
+    ]
+    assert node_labels(with_bottom(poset)) == ["0"] + node_labels(poset)
 
 
 def lattice_oracle(poset: HasseDiagram) -> bool:
@@ -155,7 +162,7 @@ def random_posets(draw):
         edges |= {(0, i) for i in range(1, size)}
     if draw(st.booleans()):
         edges |= {(i, size - 1) for i in range(size - 1)}
-    return HasseDiagram(tuple(range(size)), transitive_reduction(size, edges))
+    return HasseDiagram.from_order(range(size), closure(size, edges))
 
 
 @given(random_posets())
