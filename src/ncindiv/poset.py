@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .nc import enumerate_nc
 from .perm import KParams, Permutation, covers_below, ell_k
@@ -24,37 +23,42 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass
 class HasseDiagram:
     """A finite poset given by its elements and cover relation.
 
-    covers holds index pairs (i, j) meaning element i is covered by
-    element j, in the builder's order, which to_dot keeps.  rank is
-    present only for graded posets.  down[i] and up[i] are bitmasks of
-    the weakly-below and weakly-above elements: down is the closure of
-    the covers unless it is given, and up is always derived from down.
-    A builder that holds the masks rather than the covers calls
-    from_order instead.
+    A diagram stores only what its builder gave and derives the other
+    views the first time they are read.  HasseDiagram(elements, covers)
+    keeps the covers, index pairs (i, j) meaning element i is covered by
+    element j, in the builder's order, which to_dot keeps; from_order
+    keeps the weakly-below masks.  down[i] and up[i] are bitmasks of the
+    weakly-below and weakly-above elements: down is the closure of the
+    covers, up the closure of the reversed covers, and covers read off
+    down come in j-major order.  rank is present only for graded posets.
     """
 
-    elements: tuple
-    covers: tuple[tuple[int, int], ...]
-    rank: tuple[int, ...] | None = None
-    down: tuple[int, ...] = ()
-    up: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.down:
-            self.down = closure(len(self.elements), self.covers)
-        self.up = _up_from_down(self.down)
+    def __init__(self, elements, covers, rank=None) -> None:
+        self.elements = elements
+        self.covers = covers
+        self.rank = rank
 
     @classmethod
     def from_order(cls, elements, down, rank=None) -> HasseDiagram:
-        """The diagram of the order whose weakly-below masks are down,
-        with its covers read off the masks in j-major order."""
-        poset = cls(tuple(elements), (), rank, tuple(down))
-        poset.covers = _cover_pairs(poset.down, poset.up)
+        """The diagram of the order whose weakly-below masks are down."""
+        poset = cls.__new__(cls)
+        poset.elements, poset.down, poset.rank = tuple(elements), tuple(down), rank
         return poset
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        return closure(len(self.elements), self.covers)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        return _cover_pairs(self.down)
+
+    @cached_property
+    def up(self) -> tuple[int, ...]:
+        return closure(len(self.elements), ((j, i) for i, j in self.covers))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -238,24 +242,18 @@ def closure(size: int, relation) -> tuple[int, ...]:
     return tuple(down)
 
 
-def _up_from_down(down) -> tuple[int, ...]:
-    """The weakly-above masks of an order given by its weakly-below masks."""
-    up = [1 << i for i in range(len(down))]
+def _cover_pairs(down) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j) of an order given by its weakly-below masks,
+    j-major: the lower covers of j are the maximal elements of its
+    strict down-set, those strictly below none of the others."""
+    pairs = []
     for j, mask in enumerate(down):
-        for i in _bits(mask & ~(1 << j)):
-            up[i] |= 1 << j
-    return tuple(up)
-
-
-def _cover_pairs(down, up) -> tuple[tuple[int, int], ...]:
-    """Cover pairs (i, j) of an order given by its masks, j-major: i is
-    covered by j iff nothing else lies in the interval [i, j]."""
-    return tuple(
-        (i, j)
-        for j, mask in enumerate(down)
-        for i in _bits(mask)
-        if i != j and mask & up[i] == (1 << i | 1 << j)
-    )
+        strict = mask ^ 1 << j
+        shadow = 0
+        for z in _bits(strict):
+            shadow |= down[z] ^ 1 << z
+        pairs.extend((i, j) for i in _bits(strict & ~shadow))
+    return tuple(pairs)
 
 
 def refines(u: Permutation, w: Permutation) -> bool:

@@ -1,11 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from datetime import timedelta
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ncindiv
 from ncindiv import bijections, cli, verify
@@ -311,3 +315,65 @@ def test_pinned_stdout(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
+
+
+# every subcommand with its formats and its own options; each option is
+# drawn from edge values or left out (None), a required one never is
+RANKS = st.sampled_from([None, "-1", "0", "1", "3", "4", "x"])
+MS = st.one_of(st.none(), st.integers(-2, 3).map(str))
+FUZZ_COMMANDS = {
+    "count": (None, {
+        "--m": MS,
+        "--rank": RANKS,
+        "--jumps": st.sampled_from(
+            [None, "", "0", "3", "1,1", "1,2", "-1,4", "0,0,3", "1,,2", "a"]
+        ),
+    }),
+    "enumerate": (("text", "json"), {"--rank": RANKS}),
+    "poset": (("text", "dot", "csv", "json"), {}),
+    "chains": (None, {}),
+    "zeta": (None, {"--q": st.integers(-2, 3).map(str), "--m": MS}),
+    "mobius": (("text", "json"), {"--m": MS}),
+    "mdiv": (("text", "dot", "csv", "json"), {"--m": st.integers(-2, 3).map(str)}),
+    "hurwitz": (("text", "json"), {}),
+    "cambrian": (("text", "dot", "json"), {}),
+    "bijection": (("text", "json"), {}),
+    "nonnesting": (("text", "json"), {}),
+    "typeb-orbit": (("text", "json"), {}),
+    "verify": (("text", "json"), {
+        "--max-n": st.integers(-1, 2).map(str),
+        "--max-k": st.integers(-1, 2).map(str),
+    }),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    formats, options = FUZZ_COMMANDS[command]
+    argv = [command]
+    if command != "verify":
+        k, n = draw(st.integers(-1, 3)), draw(st.integers(-1, 3))
+        assume(k * n + 1 <= 7)
+        assume(command != "typeb-orbit" or k * n <= 4)
+        argv += ["--k", str(k), "--n", str(n)]
+    if formats:
+        argv += ["--format", draw(st.sampled_from(formats))]
+    for flag, values in options.items():
+        value = draw(values)
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=10))
+@given(cli_argvs())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

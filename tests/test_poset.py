@@ -11,9 +11,11 @@ from ncindiv.counting import (
     nc_rank_count,
     zeta_value,
 )
+from ncindiv.cli import main
 from ncindiv.geometry import build_cambrian, theta_inverse
-from ncindiv.mdivisible import with_bottom
+from ncindiv.mdivisible import build_mdiv_poset, with_bottom, with_merged_minima
 from ncindiv.perm import KParams, format_cycles, from_cycles, identity, long_cycle
+from ncindiv import poset as poset_module
 from ncindiv.poset import (
     HasseDiagram,
     _bits,
@@ -54,7 +56,11 @@ def test_multichain_jump_census_on_diamond():
 
 def test_closure_rejects_cycles():
     with pytest.raises(ValueError):
-        HasseDiagram(elements=("a", "b"), covers=((0, 1), (1, 0)))
+        closure(2, ((0, 1), (1, 0)))
+    # the masks are derived on first read, so that is where a cycle shows
+    poset = HasseDiagram(elements=("a", "b"), covers=((0, 1), (1, 0)))
+    with pytest.raises(ValueError):
+        poset.down
 
 
 def test_transitive_reduction_drops_implied_edges():
@@ -190,3 +196,77 @@ def test_is_lattice_matches_oracle_on_nc_posets(k, n):
 def test_is_lattice_matches_oracle_on_cambrian_posets(k, n):
     poset = build_cambrian(KParams(k, n))
     assert poset.is_lattice() == lattice_oracle(poset)
+
+
+def assert_views_match_oracle(poset: HasseDiagram) -> None:
+    """up is the transpose of down, bit by bit, and covers are exactly
+    the pairs i < j with nothing strictly between them."""
+    size, down, up = len(poset), poset.down, poset.up
+    for i in range(size):
+        for j in range(size):
+            assert up[i] >> j & 1 == down[j] >> i & 1
+    brute = {
+        (i, j)
+        for j in range(size)
+        for i in range(size)
+        if i != j
+        and down[j] >> i & 1
+        and not any(
+            down[z] >> i & 1 for z in range(size) if down[j] >> z & 1 and z not in (i, j)
+        )
+    }
+    assert len(set(poset.covers)) == len(poset.covers)
+    assert set(poset.covers) == brute
+
+
+@given(random_posets())
+def test_views_match_oracle_on_random_posets(poset):
+    assert_views_match_oracle(poset)
+    # the same order given by its covers derives the same masks
+    assert_views_match_oracle(HasseDiagram(poset.elements, poset.covers))
+
+
+@pytest.mark.parametrize("k, n", ORACLE_POSET_PARAMS)
+def test_views_match_oracle_on_nc_posets(k, n):
+    assert_views_match_oracle(build_poset(KParams(k, n)))
+
+
+@pytest.mark.parametrize("k, n", [(1, 3), (1, 4), (2, 2), (2, 3)])
+def test_views_match_oracle_on_cambrian_posets(k, n):
+    assert_views_match_oracle(build_cambrian(KParams(k, n)))
+
+
+# the PARAMS cases of test_mdivisible
+@pytest.mark.parametrize(
+    "k, n, m", [(k, n, m) for k in (1, 2) for n in (1, 2, 3) for m in (1, 2, 3)]
+)
+def test_views_match_oracle_on_mdiv_posets(k, n, m):
+    poset = build_mdiv_poset(KParams(k, n), m)
+    for diagram in (poset, with_bottom(poset), with_merged_minima(poset)):
+        assert_views_match_oracle(diagram)
+
+
+def test_views_are_derived_only_when_read():
+    poset = build_poset.__wrapped__(KParams(1, 6))
+    len(poset), poset.covers, poset.rank_census_csv(), poset.to_dot()
+    assert "down" not in vars(poset) and "up" not in vars(poset)
+    mposet = build_mdiv_poset.__wrapped__(KParams(1, 4), 2)
+    mposet.multichain_count(2), mposet.minimal_elements()
+    assert "covers" not in vars(mposet) and "up" not in vars(mposet)
+
+
+@pytest.mark.parametrize("fmt", ["text", "dot", "csv", "json"])
+def test_poset_command_computes_no_mask(monkeypatch, capsys, fmt):
+    def refuse(size, relation):
+        raise RuntimeError("closure computed")
+
+    monkeypatch.setattr(poset_module, "closure", refuse)
+    build_poset.cache_clear()
+    try:
+        code = main(["poset", "--k", "2", "--n", "3", "--format", fmt])
+        assert capsys.readouterr().err == ""
+        assert code == 0
+        built = build_poset(KParams(2, 3))
+        assert "down" not in vars(built) and "up" not in vars(built)
+    finally:
+        build_poset.cache_clear()
