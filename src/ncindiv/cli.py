@@ -301,10 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    p = add("count", cmd_count, "exact closed-form counts")
-    p.add_argument("--m", type=int, help="count m-divisible elements instead")
-    p.add_argument("--rank", type=int, help="count a single rank")
-    p.add_argument("--jumps", help="comma list: count multichains by rank jumps")
+    group = add("count", cmd_count, "exact closed-form counts").add_mutually_exclusive_group()
+    group.add_argument("--m", type=int, help="count m-divisible elements instead")
+    group.add_argument("--rank", type=int, help="count a single rank")
+    group.add_argument("--jumps", help="comma list: count multichains by rank jumps")
 
     p = add("enumerate", cmd_enumerate, "list the noncrossing partitions",
             formats=("text", "json"))

@@ -155,19 +155,14 @@ def mdiv_cardinality(n: int, k: int, m: int) -> int:
 
 
 def mdiv_zeta_value(n: int, k: int, m: int, q: int) -> int:
-    """Zeta polynomial of the m-divisible poset at q + 1:
+    """Zeta polynomial of the m-divisible poset at q + 1.  Its q-element
+    multichains of m-chains are counted by the mq-element multichains of
+    the base poset, so this is zeta_value at mq:
 
         (mq + 1)/(mNq + 1) * C(mNq + n, n),  N = kn + 1.
     """
     _check_m(m)
-    N = k * n + 1
-    d = m * N * q + 1
-    if d == 0:
-        raise ValueError("m-divisible zeta undefined: mNq + 1 = 0")
-    value = Fraction(m * q + 1, d) * binomial(m * N * q + n, n)
-    if value.denominator != 1:
-        raise ArithmeticError(f"m-divisible zeta not integral at q = {q}")
-    return int(value)
+    return zeta_value(n, k, m * q)
 
 
 def mdiv_mobius_hat(n: int, k: int, m: int) -> int:

@@ -258,6 +258,16 @@ def phi_inverse(p: tuple[int, ...], params: KParams) -> Factorization:
 # ---------------------------------------------------------------------------
 
 
+def check_orbit_size(params: KParams, max_states: int | None = None) -> int:
+    """Refuse, with ValueError, an orbit of more than max_states states
+    (DEFAULT_MAX_STATES when None); return the cap in force."""
+    cap = max_states if max_states is not None else DEFAULT_MAX_STATES
+    expected = chain_count(params.n, params.k)
+    if expected > cap:
+        raise ValueError(f"the orbit has {expected} states, more than max_states = {cap}")
+    return cap
+
+
 @lru_cache(maxsize=32)
 def orbit_and_class_report(params: KParams, max_states: int | None = None) -> dict:
     """One breadth-first pass over the Hurwitz orbit of the canonical
@@ -272,10 +282,8 @@ def orbit_and_class_report(params: KParams, max_states: int | None = None) -> di
     with ValueError before anything is allocated.
     """
     N, k, n = params.N, params.k, params.n
-    cap = max_states if max_states is not None else DEFAULT_MAX_STATES
+    cap = check_orbit_size(params, max_states)
     expected = chain_count(n, k)
-    if expected > cap:
-        raise ValueError(f"the orbit has {expected} states, more than max_states = {cap}")
     if n == 1:  # the long cycle is its own only factorization
         orbit_size = class_count = 1
     else:

@@ -9,9 +9,9 @@ componentwise away from d_0: C <= C' iff d_i >= d'_i in the
 
 Each of the deltas d_1..d_m is itself an element of the base poset:
 x_i <= x_{i+1} <= c gives x_i^{-1} x_{i+1} <= x_i^{-1} c <= c.  So the
-order is read off the base poset's closure, with no pairwise test: the
-chains below C' are those whose i-th delta lies in the base up-set of
-d'_i for every i.  mchain_leq keeps the direct definition as an oracle.
+order is read off the base poset's down masks, with no pairwise test:
+the chains below C' are those whose i-th delta lies above d'_i in the
+base poset for every i.  mchain_leq keeps the direct definition as an oracle.
 
 The maximum is the constant chain at the long cycle; there are many
 minimal elements, so Mobius invariants are studied on two completions:
@@ -72,19 +72,10 @@ def build_mdiv_poset(params: KParams, m: int) -> HasseDiagram:
     if m < 1:
         raise ValueError("need m >= 1")
     base = build_poset(params)
-    chains: list[MChain] = []
-
-    def extend(acc: list[int]) -> None:
-        if len(acc) == m:
-            chains.append(
-                MChain(tuple(base.elements[i].perm for i in acc), params)
-            )
-            return
-        for j in _bits(base.up[acc[-1]]):
-            extend(acc + [j])
-
-    for i in range(len(base)):
-        extend([i])
+    chains = [
+        MChain(tuple(base.elements[i].perm for i in c), params)
+        for c in base.multichains(m)
+    ]
     rank = tuple(c.rank for c in chains)
     index = {e.perm.image: f for f, e in enumerate(base.elements)}
     deltas = [[index[d.image] for d in c.deltas()[1:]] for c in chains]
@@ -93,12 +84,13 @@ def build_mdiv_poset(params: KParams, m: int) -> HasseDiagram:
     for c, row in enumerate(deltas):
         for i, f in enumerate(row):
             with_delta[i][f] |= 1 << c
-    # above[i][g]: chains whose delta d_{i+1} is >= g; the masks summed
-    # are disjoint, so their sum is their union
-    above = [
-        [sum(masks[f] for f in _bits(up)) for up in base.up]
-        for masks in with_delta
-    ]
+    # above[i][g]: chains whose delta d_{i+1} is >= g, the union of
+    # with_delta[i][f] over the f with g in base.down[f]
+    above = [[0] * len(base) for _ in range(m)]
+    for masks, row in zip(with_delta, above):
+        for f, mask in enumerate(masks):
+            for g in _bits(base.down[f]):
+                row[g] |= mask
     down = [reduce(and_, (above[i][g] for i, g in enumerate(row))) for row in deltas]
     return HasseDiagram.from_order(chains, down, rank)
 

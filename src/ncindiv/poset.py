@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from functools import cached_property, lru_cache
 
 from .nc import enumerate_nc
@@ -30,10 +31,10 @@ class HasseDiagram:
     views the first time they are read.  HasseDiagram(elements, covers)
     keeps the covers, index pairs (i, j) meaning element i is covered by
     element j, in the builder's order, which to_dot keeps; from_order
-    keeps the weakly-below masks.  down[i] and up[i] are bitmasks of the
-    weakly-below and weakly-above elements: down is the closure of the
-    covers, up the closure of the reversed covers, and covers read off
-    down come in j-major order.  rank is present only for graded posets.
+    keeps the weakly-below masks.  down[i] is the bitmask of the
+    elements weakly below i, the closure of the covers, and every order
+    question is answered from it; covers read off down come in j-major
+    order.  rank is present only for graded posets.
     """
 
     def __init__(self, elements, covers, rank=None) -> None:
@@ -56,10 +57,6 @@ class HasseDiagram:
     def covers(self) -> tuple[tuple[int, int], ...]:
         return _cover_pairs(self.down)
 
-    @cached_property
-    def up(self) -> tuple[int, ...]:
-        return closure(len(self.elements), ((j, i) for i, j in self.covers))
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -73,7 +70,10 @@ class HasseDiagram:
         return [i for i in range(len(self)) if self.down[i] == 1 << i]
 
     def maximal_elements(self) -> list[int]:
-        return [i for i in range(len(self)) if self.up[i] == 1 << i]
+        below = 0  # the union of the strict down-sets
+        for j, mask in enumerate(self.down):
+            below |= mask ^ 1 << j
+        return [i for i in range(len(self)) if not below >> i & 1]
 
     def bottom(self) -> int:
         mins = self.minimal_elements()
@@ -90,10 +90,7 @@ class HasseDiagram:
     def rank_census(self) -> dict[int, int]:
         if self.rank is None:
             raise ValueError("poset is not graded")
-        census: dict[int, int] = {}
-        for r in self.rank:
-            census[r] = census.get(r, 0) + 1
-        return census
+        return dict(Counter(self.rank))
 
     def maximal_chain_count(self) -> int:
         """Number of maximal chains from the minimum to the maximum,
@@ -140,36 +137,41 @@ class HasseDiagram:
             counts = [sum(map(counts.__getitem__, b)) for b in below]
         return sum(counts)
 
+    def multichains(self, q: int) -> list[tuple[int, ...]]:
+        """All multichains x_1 <= ... <= x_q (q >= 0) as index tuples in
+        lexicographic order, each grown downward from x_q."""
+        if q < 0:
+            raise ValueError("q must be nonnegative")
+        below = [list(_bits(d)) for d in self.down]
+        chains = [(j,) for j in range(len(self))] if q else [()]
+        for _ in range(q - 1):
+            chains = [(i,) + c for c in chains for i in below[c[0]]]
+        return sorted(chains)
+
     def multichain_jump_census(self, q: int) -> dict[tuple[int, ...], int]:
         """Census of q-element multichains by rank-jump profile
         (rank(x_1), rank(x_2)-rank(x_1), ..., top_rank - rank(x_q))."""
         if self.rank is None:
             raise ValueError("poset is not graded")
         top_rank = max(self.rank)
-        census: dict[tuple[int, ...], int] = {}
-
-        def walk(i: int, depth: int, profile: tuple[int, ...]) -> None:
-            if depth == q:
-                key = profile + (top_rank - self.rank[i],)
-                census[key] = census.get(key, 0) + 1
-                return
-            for j in _bits(self.up[i]):
-                walk(j, depth + 1, profile + (self.rank[j] - self.rank[i],))
-
-        if q == 0:
-            return {(top_rank,): 1}
-        for i in range(len(self)):
-            walk(i, 1, (self.rank[i],))
-        return census
+        # a rank sequence and its jump profile determine each other
+        by_ranks = Counter(
+            tuple(map(self.rank.__getitem__, c)) for c in self.multichains(q)
+        )
+        return {
+            tuple(b - a for a, b in zip((0, *r), (*r, top_rank))): count
+            for r, count in by_ranks.items()
+        }
 
     def mobius_from_bottom(self) -> list[int]:
-        """Mobius values mu(bottom, x) by the defining recursion."""
+        """Mobius values mu(bottom, x) by the defining recursion; the one
+        minimal element lies below every element."""
         bottom = self.bottom()
         mu = [0] * len(self)
         for i in self.topological_order():
             if i == bottom:
                 mu[i] = 1
-            elif self.is_leq(bottom, i):
+            else:
                 mu[i] = -sum(mu[z] for z in _bits(self.down[i]) if z != i)
         return mu
 
@@ -179,18 +181,16 @@ class HasseDiagram:
     def is_lattice(self) -> bool:
         """True iff every pair of elements has a meet and a join.
 
-        The common lower set down[i] & down[j] is a down-set, and a
-        finite down-set has exactly one maximal element z iff it equals
-        down[z]; dually for the common upper set.  So a pair has a meet
-        iff its common lower set is one of the down masks and a join iff
-        its common upper set is one of the up masks, and every pair is
-        decided by two set lookups."""
-        down, up = self.down, self.up
-        downs, ups = set(down), set(up)
-        return all(
-            down[i] & d in downs and up[i] & u in ups
-            for i in range(len(self))
-            for d, u in zip(down[i + 1 :], up[i + 1 :])
+        A pair has a meet iff its common lower set down[i] & down[j], a
+        down-set, is one of the down masks: it is then down[meet].  A
+        finite poset with all meets and a top is a lattice (Stanley,
+        Enumerative Combinatorics I, Prop. 3.3.1); a nonempty one has a
+        top iff it has one maximal element, and the empty one is a
+        lattice."""
+        down = self.down
+        downs = set(down)
+        return len(self.maximal_elements()) <= 1 and all(
+            down[i] & d in downs for i in range(len(self)) for d in down[i + 1 :]
         )
 
     def to_dot(self, name: str = "poset") -> str:

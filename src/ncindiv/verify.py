@@ -26,13 +26,13 @@ from .counting import (
     nc_rank_count,
     zeta_value,
 )
-from .hurwitz import orbit_and_class_report
+from .hurwitz import check_orbit_size, orbit_and_class_report
 from .mdivisible import (
     build_mdiv_poset,
     mdiv_mobius_bar_brute,
     mdiv_mobius_hat_brute,
 )
-from .nc import generated_count, generated_rank_census
+from .nc import check_ground_set, generated_count, generated_rank_census
 from .perm import KParams
 from .poset import build_poset
 from .typeb import typeb_report
@@ -70,7 +70,11 @@ def _params_in_range(max_n: int, max_k: int):
 
 def run_suite(max_n: int = 3, max_k: int = 3, max_states: int | None = None) -> list[Check]:
     """The full desk-scale suite over all (k, n) with k <= max_k and
-    n <= max_n.  Defaults keep the run in the seconds range."""
+    n <= max_n.  Defaults keep the run in the seconds range.  A range
+    that a layer would refuse is refused before the first check."""
+    for params in _params_in_range(max_n, max_k):
+        check_ground_set(params)
+        check_orbit_size(params, max_states)
     checks: list[Check] = []
     for params in _params_in_range(max_n, max_k):
         k, n = params.k, params.n

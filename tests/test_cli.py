@@ -174,6 +174,16 @@ def test_usage_errors(capsys):
     assert main(["count", "--k", "0", "--n", "3"]) == 2  # invalid parameters
 
 
+@pytest.mark.parametrize(
+    "flags", [("--rank", "1", "--m", "2"), ("--jumps", "1,2", "--rank", "1")]
+)
+def test_count_flags_exclude_each_other(capsys, flags):
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--k", "2", "--n", "3", *flags])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_oversize_refusal(capsys):
     code = main(["enumerate", "--k", "2", "--n", "9"])  # N = 19 > 13
     assert code == 2
@@ -307,6 +317,11 @@ PINNED_STDOUT = {
         "3ab2bbe17d6f7e44a2e9cdcde222ee4b46f73ed9a30e74dc735afda621ea8330",
     ("verify", "--format", "json"):
         "82e7f5edf9dcbc92bcf1199defb73223c5c5037aefb9ddb01dedf5b240994470",
+    # Cambrian posets that are not lattices
+    ("cambrian", "--k", "2", "--n", "4"):
+        "4cb0158fbce9f4af51331c67e6f4c1a7264400e8e1ea47281b5ab71723b18947",
+    ("cambrian", "--k", "3", "--n", "4"):
+        "55c97f2af13b82c50ad2127c165e8a8bd782e83d1ae0abef05f7f6f5ec67eb24",
 }
 
 

@@ -141,17 +141,27 @@ def test_dot_labels_are_element_strings():
     assert node_labels(with_bottom(poset)) == ["0"] + node_labels(poset)
 
 
+def transpose(down) -> list[int]:
+    """The weakly-above masks of the order with weakly-below masks down."""
+    up = [0] * len(down)
+    for j, mask in enumerate(down):
+        for i in _bits(mask):
+            up[i] |= 1 << j
+    return up
+
+
 def lattice_oracle(poset: HasseDiagram) -> bool:
     """Brute-force lattice test: every pair's common lower set has
     exactly one maximal element, and its common upper set exactly one
     minimal element."""
     size = len(poset)
+    up = transpose(poset.down)
     for i in range(size):
         for j in range(i + 1, size):
             down = poset.down[i] & poset.down[j]
-            if sum(1 for z in _bits(down) if poset.up[z] & down == 1 << z) != 1:
+            if sum(1 for z in _bits(down) if up[z] & down == 1 << z) != 1:
                 return False
-            upc = poset.up[i] & poset.up[j]
+            upc = up[i] & up[j]
             if sum(1 for z in _bits(upc) if poset.down[z] & upc == 1 << z) != 1:
                 return False
     return True
@@ -199,12 +209,11 @@ def test_is_lattice_matches_oracle_on_cambrian_posets(k, n):
 
 
 def assert_views_match_oracle(poset: HasseDiagram) -> None:
-    """up is the transpose of down, bit by bit, and covers are exactly
-    the pairs i < j with nothing strictly between them."""
-    size, down, up = len(poset), poset.down, poset.up
-    for i in range(size):
-        for j in range(size):
-            assert up[i] >> j & 1 == down[j] >> i & 1
+    """The maximal elements are those whose up-set, the transpose of
+    down, is themselves alone, and covers are exactly the pairs i < j
+    with nothing strictly between them."""
+    size, down, up = len(poset), poset.down, transpose(poset.down)
+    assert poset.maximal_elements() == [i for i in range(size) if up[i] == 1 << i]
     brute = {
         (i, j)
         for j in range(size)
@@ -244,6 +253,42 @@ def test_views_match_oracle_on_mdiv_posets(k, n, m):
     poset = build_mdiv_poset(KParams(k, n), m)
     for diagram in (poset, with_bottom(poset), with_merged_minima(poset)):
         assert_views_match_oracle(diagram)
+
+
+def assert_multichains_match_brute_force(poset: HasseDiagram) -> None:
+    """multichains(q) lists, in product order, the tuples of
+    product(range(size), repeat=q) whose consecutive entries satisfy
+    is_leq; the tuples are built one entry at a time, so a prefix that
+    fails is dropped before it is extended."""
+    for q in range(4):
+        brute = [()]
+        for _ in range(q):
+            brute = [
+                c + (x,)
+                for c in brute
+                for x in range(len(poset))
+                if not c or poset.is_leq(c[-1], x)
+            ]
+        assert poset.multichains(q) == brute
+        assert len(brute) == poset.multichain_count(q)
+
+
+@given(random_posets())
+def test_multichains_match_brute_force_on_random_posets(poset):
+    assert_multichains_match_brute_force(poset)
+
+
+@pytest.mark.parametrize("k, n", ORACLE_POSET_PARAMS)
+def test_multichains_match_brute_force_on_nc_posets(k, n):
+    assert_multichains_match_brute_force(build_poset(KParams(k, n)))
+
+
+def test_empty_diagram():
+    empty = HasseDiagram((), ())
+    assert empty.is_lattice() and empty.maximal_elements() == []
+    assert empty.multichains(0) == [()] and empty.multichains(2) == []
+    with pytest.raises(ValueError):
+        empty.multichains(-1)
 
 
 def test_views_are_derived_only_when_read():

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from ncindiv import verify
 from ncindiv.verify import Check, format_report, run_suite, suite_report
 
 
@@ -27,3 +30,19 @@ def test_report_serialization():
     parsed = json.loads(format_report(report, as_json=True))
     assert parsed["open"] == 1
     assert parsed["checks"][0]["status"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"max_n": 5}, r"refusing full poset build at N = 16 > 13"),
+        ({"max_n": 3, "max_states": 5}, r"the orbit has 16 states, more than max_states = 5"),
+    ],
+)
+def test_refused_range_is_refused_before_the_first_check(monkeypatch, kwargs, message):
+    def never(params):
+        raise AssertionError(f"a check ran at {params} before the refusal")
+
+    monkeypatch.setattr(verify, "generated_count", never)
+    with pytest.raises(ValueError, match=message):
+        run_suite(**kwargs)
