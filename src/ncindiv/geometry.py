@@ -256,7 +256,11 @@ def _rotated(
 
 
 def all_dissections(params: KParams) -> list[Dissection]:
-    """Images of all commutation classes under the dissection map."""
+    """Images of all commutation classes under the dissection map, in
+    the order in which commutation_classes meets the classes.  That
+    order follows CPython's set table as it is rebuilt during the
+    removals, so a direct generator must replay those set operations to
+    keep the bytes of `cambrian`."""
     classes = commutation_classes(enumerate_factorizations(params))
     out = []
     seen = set()

@@ -68,6 +68,7 @@ rotation classes:
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from .counting import chain_count, nc_rank_count
@@ -134,15 +135,13 @@ def commute(a: Permutation, b: Permutation) -> bool:
 
 def enumerate_factorizations(params: KParams) -> list[Factorization]:
     """All reduced factorizations, read off the maximal chains of the
-    noncrossing partition poset (t_i is the i-th cover quotient)."""
+    noncrossing partition poset: t_i is the quotient x^{-1} y of the
+    chain's i-th cover (x, y), computed once per cover."""
     poset = build_poset(params)
-    out = []
-    for chain in poset.maximal_chains():
-        perms = [poset.elements[i].perm for i in chain]
-        out.append(
-            tuple(a.inverse() * b for a, b in zip(perms, perms[1:]))
-        )
-    return out
+    perms = [e.perm for e in poset.elements]
+    factor = {(i, j): perms[i].inverse() * perms[j] for i, j in poset.covers}
+    chains = poset.maximal_chains()
+    return [tuple(factor[step] for step in zip(c, c[1:])) for c in chains]
 
 
 def hurwitz_orbit(start: Factorization, max_states: int | None = None) -> set[Factorization]:
@@ -199,19 +198,9 @@ def is_parking_function(p: tuple[int, ...], params: KParams) -> bool:
 
 def enumerate_parking_functions(params: KParams) -> list[tuple[int, ...]]:
     """All k-parking functions of length n, in lexicographic order."""
-    n, k = params.n, params.k
-    out: list[tuple[int, ...]] = []
-
-    def extend(acc: list[int]) -> None:
-        if len(acc) == n:
-            if is_parking_function(tuple(acc), params):
-                out.append(tuple(acc))
-            return
-        for v in range(1, k * (n - 1) + 2):
-            extend(acc + [v])
-
-    extend([])
-    return out
+    values = range(1, params.k * (params.n - 1) + 2)
+    candidates = product(values, repeat=params.n)
+    return [p for p in candidates if is_parking_function(p, params)]
 
 
 def _peel_sorted(p: tuple[int, ...], labels: tuple[int, ...], k: int) -> list[tuple[int, ...]]:

@@ -246,22 +246,20 @@ def ell_k_oracle(w: Permutation, k: int) -> int:
 def covers_below(w: Permutation, k: int) -> set[Permutation]:
     """Elements covered by w in the (k+1)-cycle generated order.
 
-    w must have all cycle lengths 1 mod k.  Each cover is obtained by
-    cutting one cycle of w into k + 1 cycles whose lengths are again
-    all 1 mod k; equivalently u = w * t^{-1} for a (k+1)-cycle t whose
-    entries sit in compatible cyclic order inside one cycle of w.
+    w must have all cycle lengths 1 mod k.  Each cover cuts one cycle of
+    w after k + 1 of its positions into k + 1 cyclic runs whose lengths
+    are again all 1 mod k; equivalently u = w * t^{-1} for the (k+1)-cycle
+    t on those positions.  The cuts come in the order of combinations.
     """
     if not is_one_mod_k(w, k):
         raise ValueError("covers_below needs all cycle lengths 1 mod k")
-    K = w.degree
-    target = w.cycle_count() + k
+    cycles = w.cycles()
     out = set()
-    for cyc in w.cycles():
-        if len(cyc) < k + 1:
-            continue
-        for positions in combinations(range(len(cyc)), k + 1):
-            t = from_cycles(K, (tuple(cyc[p] for p in positions),))
-            u = w * t.inverse()
-            if u.cycle_count() == target and is_one_mod_k(u, k):
-                out.add(u)
+    for c, cyc in enumerate(cycles):
+        others, size, twice = cycles[:c] + cycles[c + 1 :], len(cyc), cyc + cyc
+        for cut in combinations(range(size), k + 1):
+            ends = cut[1:] + (cut[0] + size,)
+            if all((b - a) % k == 1 % k for a, b in zip(cut, ends)):
+                runs = tuple(twice[a + 1 : b + 1] for a, b in zip(cut, ends))
+                out.add(from_cycles(w.degree, others + runs))
     return out

@@ -12,6 +12,7 @@ import csv
 import io
 from collections import Counter
 from functools import cached_property, lru_cache
+from graphlib import CycleError, TopologicalSorter
 
 from .nc import enumerate_nc
 from .perm import KParams, Permutation, covers_below, ell_k
@@ -216,29 +217,17 @@ def closure(size: int, relation) -> tuple[int, ...]:
     """The weakly-below masks of the order on range(size) generated by
     an acyclic relation of pairs (i, j), i below j: its
     reflexive-transitive closure."""
-    down = [1 << i for i in range(size)]
-    children: dict[int, list[int]] = {}
-    indeg = [0] * size
-    out_edges: dict[int, list[int]] = {}
+    below: dict[int, list[int]] = {}
     for i, j in relation:
-        children.setdefault(j, []).append(i)
-        out_edges.setdefault(i, []).append(j)
-        indeg[j] += 1
-    # Kahn order so each down-mask is complete before use.
-    order = [i for i in range(size) if indeg[i] == 0]
-    head = 0
-    while head < len(order):
-        i = order[head]
-        head += 1
-        for j in out_edges.get(i, []):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                order.append(j)
-    if len(order) != size:
-        raise ValueError("cover relation contains a cycle")
-    for j in order:
-        for i in children.get(j, []):
-            down[j] |= down[i]
+        below.setdefault(j, []).append(i)
+    down = [1 << i for i in range(size)]
+    try:
+        # each down-mask is complete before an element above reads it
+        for j in TopologicalSorter(below).static_order():
+            for i in below.get(j, ()):
+                down[j] |= down[i]
+    except CycleError:
+        raise ValueError("cover relation contains a cycle") from None
     return tuple(down)
 
 

@@ -71,7 +71,10 @@ def _params_in_range(max_n: int, max_k: int):
 def run_suite(max_n: int = 3, max_k: int = 3, max_states: int | None = None) -> list[Check]:
     """The full desk-scale suite over all (k, n) with k <= max_k and
     n <= max_n.  Defaults keep the run in the seconds range.  A range
-    that a layer would refuse is refused before the first check."""
+    that a layer would refuse, or an empty one, is refused before the
+    first check."""
+    if max_n < 1 or max_k < 1:
+        raise ValueError("need max_n >= 1 and max_k >= 1")
     for params in _params_in_range(max_n, max_k):
         check_ground_set(params)
         check_orbit_size(params, max_states)

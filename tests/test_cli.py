@@ -250,6 +250,16 @@ def test_cambrian_refuses_before_allocating(capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("flag", ["--max-n", "--max-k"])
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_verify_over_an_empty_range_is_a_refusal(capsys, flag, bound):
+    code = main(["verify", flag, bound])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: need max_n >= 1 and max_k >= 1\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -322,6 +332,13 @@ PINNED_STDOUT = {
         "4cb0158fbce9f4af51331c67e6f4c1a7264400e8e1ea47281b5ab71723b18947",
     ("cambrian", "--k", "3", "--n", "4"):
         "55c97f2af13b82c50ad2127c165e8a8bd782e83d1ae0abef05f7f6f5ec67eb24",
+    ("cambrian", "--k", "2", "--n", "4", "--format", "json"):
+        "bb1b8ea5d375a2da5518c12caa92af5868619689a47f0997baa28dfb65583739",
+    # cover order of the NC posets
+    ("poset", "--k", "1", "--n", "6", "--format", "dot"):
+        "b613a594629609e408e4349e3b6f66c5f1a682ef703cfce0fcd13d10960e0cf1",
+    ("poset", "--k", "3", "--n", "3", "--format", "dot"):
+        "f3c42152ddfefc9f14564bffdd549bd647769b2f9580a05de827f99c269dc2a8",
 }
 
 

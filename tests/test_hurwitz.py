@@ -22,6 +22,7 @@ from ncindiv.hurwitz import (
     sym_action,
 )
 from ncindiv.perm import KParams, from_cycles, long_cycle, parse_cycles
+from ncindiv.poset import build_poset
 
 
 def test_moves_preserve_product_and_invert():
@@ -56,6 +57,28 @@ def test_enumeration_counts_and_validity():
         assert len(facts) == chain_count(n, k)
         assert len(set(facts)) == len(facts)
         assert all(is_reduced_factorization(f, params) for f in facts)
+
+
+# every (k, n) with N <= 9 but (1, 7) and (1, 8), whose 8^6 and 9^7
+# chains are too many to multiply out one by one here
+CHAIN_PARAMS = [
+    (k, n)
+    for k in range(1, 9)
+    for n in range(1, 9)
+    if k * n + 1 <= 9 and (k, n) not in ((1, 7), (1, 8))
+]
+
+
+@pytest.mark.parametrize("k, n", CHAIN_PARAMS)
+def test_factorizations_are_the_chain_products(k, n):
+    # the i-th factor is x_{i-1}^{-1} x_i along each maximal chain, in
+    # the order of maximal_chains()
+    poset = build_poset(KParams(k, n))
+    expected = []
+    for chain in poset.maximal_chains():
+        perms = [poset.elements[i].perm for i in chain]
+        expected.append(tuple(a.inverse() * b for a, b in zip(perms, perms[1:])))
+    assert enumerate_factorizations(KParams(k, n)) == expected
 
 
 def test_orbit_is_everything_from_every_start():

@@ -1,6 +1,9 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
+from ncindiv.nc import enumerate_nc
 from ncindiv.perm import (
     KParams,
     Permutation,
@@ -113,6 +116,32 @@ def test_covers_below_drop_rank_by_one():
             assert ell_k(u, k) == n - 1
     with pytest.raises(ValueError):
         covers_below(from_cycles(5, ((1, 2),)), 2)
+
+
+def covers_by_products(w, k):
+    """covers_below by its product definition: w * t^{-1} for the
+    (k+1)-cycle t on each increasing (k+1)-subset of the positions of a
+    cycle of w, kept when it has k more cycles, all 1 mod k."""
+    target = w.cycle_count() + k
+    out = set()
+    for cyc in w.cycles():
+        for positions in combinations(range(len(cyc)), k + 1):
+            t = from_cycles(w.degree, (tuple(cyc[p] for p in positions),))
+            u = w * t.inverse()
+            if u.cycle_count() == target and is_one_mod_k(u, k):
+                out.add(u)
+    return out
+
+
+@pytest.mark.parametrize(
+    "k, n", [(k, n) for k in range(1, 10) for n in range(1, 10) if k * n + 1 <= 10]
+)
+def test_covers_below_matches_the_product_definition(k, n):
+    # same members, inserted in the same order (build_poset's cover order)
+    for e in enumerate_nc(KParams(k, n)):
+        covers, products = covers_below(e.perm, k), covers_by_products(e.perm, k)
+        assert covers == products
+        assert list(covers) == list(products)
 
 
 def test_cycles_are_computed_once_and_leave_equality_alone():
