@@ -222,12 +222,13 @@ def closure(size: int, relation) -> tuple[int, ...]:
         below.setdefault(j, []).append(i)
     down = [1 << i for i in range(size)]
     try:
-        # each down-mask is complete before an element above reads it
-        for j in TopologicalSorter(below).static_order():
-            for i in below.get(j, ()):
-                down[j] |= down[i]
+        order = list(TopologicalSorter(below).static_order())
     except CycleError:
         raise ValueError("cover relation contains a cycle") from None
+    # each down-mask is complete before an element above reads it
+    for j in order:
+        for i in below.get(j, ()):
+            down[j] |= down[i]
     return tuple(down)
 
 
