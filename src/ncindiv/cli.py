@@ -14,7 +14,7 @@ the exit code: 0 on success, 1 when `verify` finds a failing check or an
 internal check (an AssertionError) fails, 2 on usage errors, refusals,
 unwritable output files and exhausted memory.  The size caps live in the
 layers that allocate (`nc.ENUMERATION_MAX_N`,
-`geometry.CAMBRIAN_MAX_FACTORIZATIONS`, the orbit caps of `hurwitz` and
+`geometry.CAMBRIAN_MAX_DISSECTIONS`, the orbit caps of `hurwitz` and
 `typeb`); this module has none.
 """
 

@@ -23,17 +23,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .counting import chain_count
-from .hurwitz import (
-    Factorization,
-    commutation_classes,
-    enumerate_factorizations,
-    factorization_product,
-)
+from .counting import commutation_class_count
+from .hurwitz import Factorization, factorization_product, support
+from .nc import check_ground_set
 from .perm import KParams, format_cycles, from_cycles, long_cycle
 from .poset import HasseDiagram, closure
 
-CAMBRIAN_MAX_FACTORIZATIONS = 100_000  # build_cambrian lists every one
+CAMBRIAN_MAX_DISSECTIONS = 3_000  # build_cambrian lists every one
 
 
 @dataclass(frozen=True)
@@ -115,17 +111,10 @@ def _split_faces(
     return [polygon]
 
 
-def _supports(factors: Factorization) -> list[tuple[int, ...]]:
-    return [
-        tuple(sorted(x for cyc in t.cycles() if len(cyc) > 1 for x in cyc))
-        for t in factors
-    ]
-
-
 def theta(factors: Factorization, params: KParams) -> Dissection:
     """The dissection of the commutation class of a factorization."""
     N = params.N
-    supports = _supports(factors)
+    supports = [support(t) for t in factors]
     diagonals = set()
     for a in range(1, N + 1):
         at_a = [s for s in supports if a in s]
@@ -199,7 +188,7 @@ def theta_inverse(d: Dissection) -> Factorization:
 def diagonal_for_pair(d: Dissection, factors: Factorization, i: int) -> tuple[int, int]:
     """The diagonal of d separating the cells of factors i and i+1,
     which must share a vertex."""
-    supports = _supports(factors)
+    supports = [support(t) for t in factors]
     shared = set(supports[i]) & set(supports[i + 1])
     if len(shared) != 1:
         raise ValueError("factors do not share a unique vertex")
@@ -255,21 +244,40 @@ def _rotated(
     return ((new_p + 1) // 2, new_q // 2)
 
 
+def _cell_steps(v: int, hi: int, steps: int, k: int):
+    """The chord tuples that complete the cell on a side (lo, hi) from v
+    to hi in the given number of steps of length 1 mod 2k, with the
+    polygons they close dissected.  A step (v, w) longer than one is a
+    chord, closing the polygon v..w, whose cell on (v, w) takes 2k + 1
+    steps."""
+    if steps == 0:
+        if v == hi:
+            yield ()
+        return
+    for w in range(v + 1, hi - steps + 2, 2 * k):
+        closed = _cell_steps(v, w, 2 * k + 1, k) if w - v > 1 else [()]
+        chord = ((v, w),) if w - v > 1 else ()
+        for inner in closed:
+            for rest in _cell_steps(w, hi, steps - 1, k):
+                yield chord + inner + rest
+
+
 def all_dissections(params: KParams) -> list[Dissection]:
-    """Images of all commutation classes under the dissection map, in
-    the order in which commutation_classes meets the classes.  That
-    order follows CPython's set table as it is rebuilt during the
-    removals, so a direct generator must replay those set operations to
-    keep the bytes of `cambrian`."""
-    classes = commutation_classes(enumerate_factorizations(params))
+    """All dissections of the 2N-gon into (2k+2)-gons, one per
+    commutation class (``theta`` of the classes is the oracle), sorted
+    by their sorted diagonal tuples.
+
+    The cell on the side (2N, 1) is chosen first, then the cells on its
+    chords, recursively (see ``_cell_steps``).  A chord (v, w), v < w,
+    joins an unbarred and a barred vertex, since its length is odd."""
     out = []
-    seen = set()
-    for cls in classes:
-        d = theta(next(iter(cls)), params)
-        if d.diagonals in seen:
-            raise ValueError("two commutation classes share a dissection")
-        seen.add(d.diagonals)
-        out.append(d)
+    for chords in _cell_steps(1, 2 * params.N, 2 * params.k + 1, params.k):
+        diagonals = frozenset(
+            ((v + 1) // 2, w // 2) if v % 2 else ((w + 1) // 2, v // 2)
+            for v, w in chords
+        )
+        out.append(Dissection(params, diagonals))
+    out.sort(key=lambda d: sorted(d.diagonals))
     return out
 
 
@@ -310,16 +318,18 @@ def build_cambrian(params: KParams) -> HasseDiagram:
     consecutive-blocks factorization (1..k+1)(k+1..2k+1)...(N-k..N) and
     the maximum is the image of (k+1..2k+1)(2k+1..3k+1)...(1,..,k,N).
     Whether every pair has a meet and a join is reported by
-    ``HasseDiagram.is_lattice``, not assumed.  Each rotation is looked up
-    among the dissections, which ``theta`` has validated, so a rotation
-    that leaves them raises ValueError.  More than
-    CAMBRIAN_MAX_FACTORIZATIONS reduced factorizations are refused before
-    any is listed."""
-    count = chain_count(params.n, params.k)
-    if count > CAMBRIAN_MAX_FACTORIZATIONS:
+    ``HasseDiagram.is_lattice``, not assumed.  The elements are
+    ``all_dissections`` in its order, and each rotation is looked up among
+    them, so a rotation that leaves them raises ValueError.  A ground set
+    past ``nc.ENUMERATION_MAX_N`` or more than CAMBRIAN_MAX_DISSECTIONS
+    dissections (the closed-form count) is refused before any is
+    listed."""
+    check_ground_set(params)
+    count = commutation_class_count(params.n, params.k)
+    if count > CAMBRIAN_MAX_DISSECTIONS:
         raise ValueError(
-            f"refusing Cambrian build over {count} factorizations"
-            f" > {CAMBRIAN_MAX_FACTORIZATIONS}"
+            f"refusing Cambrian build over {count} dissections"
+            f" > {CAMBRIAN_MAX_DISSECTIONS}"
         )
     dissections = all_dissections(params)
     index = {d.diagonals: i for i, d in enumerate(dissections)}

@@ -88,6 +88,11 @@ def factorization_product(factors: Factorization) -> Permutation:
     return out
 
 
+def support(t: Permutation) -> tuple[int, ...]:
+    """The points that t moves, in increasing order."""
+    return tuple(sorted(x for cyc in t.cycles() if len(cyc) > 1 for x in cyc))
+
+
 def is_reduced_factorization(factors: Factorization, params: KParams) -> bool:
     """n factors, each a (k+1)-cycle, multiplying to the long cycle."""
     if len(factors) != params.n:
@@ -117,8 +122,7 @@ def sym_action(factors: Factorization, i: int) -> Factorization:
     minima are increasing at position i, as its inverse if decreasing,
     and trivially if equal.  Swaps the two minima."""
     a, b = factors[i], factors[i + 1]
-    amin = min(x for cyc in a.cycles() if len(cyc) > 1 for x in cyc)
-    bmin = min(x for cyc in b.cycles() if len(cyc) > 1 for x in cyc)
+    amin, bmin = min(support(a)), min(support(b))
     if amin < bmin:
         return hurwitz_move(factors, i)
     if amin > bmin:
@@ -128,9 +132,7 @@ def sym_action(factors: Factorization, i: int) -> Factorization:
 
 def commute(a: Permutation, b: Permutation) -> bool:
     """True iff the moved points of a and b are disjoint."""
-    sa = {x for cyc in a.cycles() if len(cyc) > 1 for x in cyc}
-    sb = {x for cyc in b.cycles() if len(cyc) > 1 for x in cyc}
-    return not (sa & sb)
+    return set(support(a)).isdisjoint(support(b))
 
 
 def enumerate_factorizations(params: KParams) -> list[Factorization]:
@@ -182,9 +184,7 @@ def commutation_classes(factorizations: list[Factorization]) -> list[set[Factori
 def phi_parking(factors: Factorization) -> tuple[int, ...]:
     """The k-parking function of a factorization: the tuple of factor
     minima."""
-    return tuple(
-        min(x for cyc in t.cycles() if len(cyc) > 1 for x in cyc) for t in factors
-    )
+    return tuple(min(support(t)) for t in factors)
 
 
 def is_parking_function(p: tuple[int, ...], params: KParams) -> bool:

@@ -246,7 +246,7 @@ def test_cambrian_refuses_before_allocating(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
-    assert "262144" in captured.err  # refused on the closed-form chain count
+    assert "7752" in captured.err  # refused on the closed-form dissection count
     assert elapsed < 1.0
 
 
@@ -296,7 +296,7 @@ PINNED_STDOUT = {
     ("mdiv", "--k", "2", "--n", "3", "--m", "3", "--format", "json"):
         "9a1222705f283c975cf132dcd25c70ccd4c48ce961215882e1f35d71f52e5199",
     ("cambrian", "--k", "1", "--n", "5", "--format", "dot"):
-        "9fa49bf748ee9a9000924f2f22029e80b6db1ef56893c6c3f303f51cb713da80",
+        "254eba5cce729e7c52b7aecce818d43401266363aa5a07bc1af1b50377e8815e",
     ("poset", "--k", "2", "--n", "3", "--format", "dot"):
         "62a7faf5d32a3203340c358d2fd14a01be770257ceebcfdab020fe6cbf6a93e0",
     ("nonnesting", "--k", "2", "--n", "4", "--format", "json"):
@@ -306,7 +306,7 @@ PINNED_STDOUT = {
     ("nonnesting", "--k", "3", "--n", "3", "--format", "json"):
         "2acd6279419f3f12495053f86c1389528f210076e6f986f9f6e61433fba45d7f",
     ("cambrian", "--k", "2", "--n", "3", "--format", "json"):
-        "7682cb301db21fe71a4001d033d9def5adbc42faedf99bc7a05a222bb698d392",
+        "68cbcef4e34b5908a6868b3acd2047c869bf60de243a3fcdf479cdc8a1cd0d2b",
     ("typeb-orbit", "--k", "1", "--n", "4"):
         "0b276daf3ec272c508ef2e2889fcb8c27c4df8923ec40db7209f4be34d0e95d0",
     ("typeb-orbit", "--k", "2", "--n", "2", "--format", "json"):
@@ -333,7 +333,7 @@ PINNED_STDOUT = {
     ("cambrian", "--k", "3", "--n", "4"):
         "55c97f2af13b82c50ad2127c165e8a8bd782e83d1ae0abef05f7f6f5ec67eb24",
     ("cambrian", "--k", "2", "--n", "4", "--format", "json"):
-        "bb1b8ea5d375a2da5518c12caa92af5868619689a47f0997baa28dfb65583739",
+        "05ef59ed275d94f729885e7cbf97494cefe0747f4138f7ecbee2ca393286cf50",
     # cover order of the NC posets
     ("poset", "--k", "1", "--n", "6", "--format", "dot"):
         "b613a594629609e408e4349e3b6f66c5f1a682ef703cfce0fcd13d10960e0cf1",

@@ -1,9 +1,12 @@
 import pytest
 
-from ncindiv import geometry
-from ncindiv.counting import commutation_class_count
+from ncindiv import geometry, hurwitz
+from ncindiv.counting import chain_count, commutation_class_count
 from ncindiv.geometry import (
+    CAMBRIAN_MAX_DISSECTIONS,
     Dissection,
+    _blocked_position,
+    _cell_union,
     all_dissections,
     build_cambrian,
     diagonal_for_pair,
@@ -16,7 +19,17 @@ from ncindiv.hurwitz import (
     enumerate_factorizations,
     hurwitz_move,
 )
+from ncindiv.nc import ENUMERATION_MAX_N
 from ncindiv.perm import KParams, parse_cycles
+
+# every (k, n) that build_cambrian admits
+ADMITTED = [
+    (k, n)
+    for k in range(1, ENUMERATION_MAX_N)
+    for n in range(1, ENUMERATION_MAX_N)
+    if k * n + 1 <= ENUMERATION_MAX_N
+    and commutation_class_count(n, k) <= CAMBRIAN_MAX_DISSECTIONS
+]
 
 
 def test_dissection_validity():
@@ -47,6 +60,61 @@ def test_theta_is_a_bijection_onto_dissections():
         dissections = all_dissections(params)
         assert len(dissections) == commutation_class_count(n, k)
         assert all(d.is_valid() for d in dissections)
+
+
+def test_admitted_sizes():
+    assert len(ADMITTED) == 28
+    assert (2, 5) in ADMITTED and (1, 7) not in ADMITTED
+
+
+@pytest.mark.parametrize(
+    "k, n", [(k, n) for k, n in ADMITTED if chain_count(n, k) <= 3_000]
+)
+def test_dissections_are_theta_of_the_commutation_classes(k, n):
+    params = KParams(k, n)
+    classes = commutation_classes(enumerate_factorizations(params))
+    assert {d.diagonals for d in all_dissections(params)} == {
+        theta(next(iter(cls)), params).diagonals for cls in classes
+    }
+
+
+@pytest.mark.parametrize("k, n", ADMITTED)
+def test_dissections_are_distinct_valid_and_sorted(k, n):
+    dissections = all_dissections(KParams(k, n))
+    assert len(dissections) == commutation_class_count(n, k)
+    assert len({d.diagonals for d in dissections}) == len(dissections)
+    assert all(d.is_valid() for d in dissections)
+    keys = [sorted(d.diagonals) for d in dissections]
+    assert keys == sorted(keys)
+
+
+def unblocked_rotations(params: KParams) -> int:
+    """The clockwise rotations of all dissections that _blocked_position
+    leaves unblocked, counted without building the order."""
+    count = 0
+    for d in all_dissections(params):
+        for diag in d.diagonals:
+            position = frozenset((2 * diag[0] - 1, 2 * diag[1]))
+            blocked = _blocked_position(_cell_union(d, diag), params.k, 2 * params.N)
+            count += position != blocked
+    return count
+
+
+@pytest.mark.parametrize("k, n", ADMITTED)
+def test_unblocked_rotation_count(k, n):
+    # each diagonal rotates through a cycle of 2k + 1 positions, one of
+    # them blocked
+    params = KParams(k, n)
+    rotations = unblocked_rotations(params)
+    size = commutation_class_count(n, k)
+    assert rotations * (2 * k + 1) == 2 * k * size * (n - 1)
+    if size > 2_000:  # the transitive reduction at (2,5) alone takes seconds
+        return
+    covers = len(build_cambrian(params).covers)
+    if k == 1:
+        assert covers == rotations
+    else:
+        assert covers <= rotations
 
 
 def test_theta_round_trip():
@@ -134,8 +202,10 @@ def test_cambrian_refuses_before_listing(monkeypatch):
         raise AssertionError("all_dissections called past the cap")
 
     monkeypatch.setattr(geometry, "all_dissections", listed)
-    with pytest.raises(ValueError, match="262144"):
+    with pytest.raises(ValueError, match="7752"):
         build_cambrian(KParams(1, 7))
+    with pytest.raises(ValueError, match="N = 1000000001 > 13"):
+        build_cambrian(KParams(10**9, 1))  # one dissection of a huge polygon
 
 
 def test_cambrian_build_never_calls_theta_inverse(monkeypatch):
@@ -145,6 +215,18 @@ def test_cambrian_build_never_calls_theta_inverse(monkeypatch):
     monkeypatch.setattr(geometry, "theta_inverse", word)
     poset = build_cambrian.__wrapped__(KParams(1, 4))
     assert len(poset) == commutation_class_count(4, 1)
+
+
+def test_cambrian_build_never_floods_factorizations(monkeypatch):
+    def oracle(*args):
+        raise AssertionError("a factorization oracle called during the build")
+
+    for module in (geometry, hurwitz):
+        for name in ("enumerate_factorizations", "commutation_classes", "build_poset"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, oracle)
+    cambrian = build_cambrian.__wrapped__(KParams(1, 4))
+    assert len(cambrian) == commutation_class_count(4, 1)
 
 
 def test_rotate_rejects_foreign_diagonal():
