@@ -2,9 +2,10 @@
 lattice paths, and nonnesting order ideals.
 
 The pipeline follows the tree route: a partition w together with its
-Kreweras complement forms a bicolored plane tree on N edges (white
-vertices are the blocks of w, black vertices the blocks of the
-complement, edge i joins the blocks containing i).  Deleting the root
+Kreweras complement K(w) = w^{-1} c forms a bicolored plane tree on N
+edges, held as the rotation pair (w, K(w)) whose product is the long
+cycle c (white vertices are the cycles of w, black vertices those of
+K(w), edge i joins the two cycles holding i).  Deleting the root
 edge 1 splits the tree into two k-divisible plane trees, which
 contract to (k+1)-ary trees, which serialize to k-Dyck paths; the two
 paths concatenate to a single lattice path weakly above the staircase
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from operator import gt, sub
 from typing import Iterator
 
 from .counting import nc_cardinality
 from .nc import NoncrossingElement, check_ground_set, kreweras
-from .perm import KParams, from_cycles
+from .perm import KParams, Permutation, long_cycle
 
 PlaneTree = tuple  # nested tuples; a leaf is ()
 
@@ -34,78 +35,34 @@ PlaneTree = tuple  # nested tuples; a leaf is ()
 
 @dataclass(frozen=True)
 class BicoloredTree:
-    """The plane tree of a noncrossing partition: white rotations are
-    the blocks of w, black rotations the blocks of the Kreweras
-    complement, and edge labels 1..N appear once on each side."""
+    """The plane tree of a noncrossing partition w as its two rotation
+    permutations: white = w turns around the blocks of w, black = K(w)
+    around the blocks of the Kreweras complement, edge i joins the white
+    and the black cycle holding i, and white * black is the long cycle."""
 
-    white: tuple[tuple[int, ...], ...]
-    black: tuple[tuple[int, ...], ...]
-    N: int
-
-    def white_of(self, label: int) -> int:
-        for i, cyc in enumerate(self.white):
-            if label in cyc:
-                return i
-        raise KeyError(label)
-
-    def black_of(self, label: int) -> int:
-        for i, cyc in enumerate(self.black):
-            if label in cyc:
-                return i
-        raise KeyError(label)
+    white: Permutation
+    black: Permutation
 
 
 def gj_tree(element: NoncrossingElement) -> BicoloredTree:
-    """Build and validate the bicolored tree of a partition."""
+    """Build and validate the bicolored tree of a partition.
+
+    A product white * black that is an N-cycle makes <white, black>
+    transitive on the edges, so the graph is connected, and a connected
+    graph with N + 1 vertices on N edges is a tree."""
     w = element.perm
-    comp = kreweras(w)
-    tree = BicoloredTree(white=w.cycles(), black=comp.cycles(), N=w.degree)
-    _validate_tree(tree, element.params.k)
-    return tree
-
-
-def _validate_tree(tree: BicoloredTree, k: int) -> None:
-    N = tree.N
-    # a tree on N edges has N + 1 vertices
-    if len(tree.white) + len(tree.black) != N + 1:
+    N, k = w.degree, element.params.k
+    tree = BicoloredTree(white=w, black=kreweras(w))
+    vertices = tree.white.cycles() + tree.black.cycles()
+    if len(vertices) != N + 1:
         raise ValueError("edge/vertex count is not that of a tree")
-    for cyc in tree.white + tree.black:
-        if len(cyc) % k != 1 % k:
-            raise ValueError("vertex degree not 1 mod k")
-    # connectivity by union-find over edges
-    parent = list(range(N + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for label in range(1, N + 1):
-        a = find(tree.white_of(label))
-        b = find(len(tree.white) + tree.black_of(label))
-        if a == b:
-            raise ValueError("cycle in the bicolored graph")
-        parent[a] = b
-    # the tour that keeps the tree to the right must meet the edges in
-    # label order when crossing white to black
-    white_next = {}
-    for cyc in tree.white:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            white_next[a] = b
-    black_next = {}
-    for cyc in tree.black:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            black_next[a] = b
-    label = 1
-    for step in range(1, N + 1):
-        if label != step:
-            raise ValueError("tour does not read the labels in order")
-        label = white_next[black_next[label]]
-        if label > N:
-            label -= N
-    if label != 1:
-        raise ValueError("tour did not close up")
+    if any(len(cyc) % k != 1 % k for cyc in vertices):
+        raise ValueError("vertex degree not 1 mod k")
+    # the tour that keeps the tree to the right meets the edges in label
+    # order when crossing white to black: white(black(i)) = i + 1 mod N
+    if tree.white * tree.black != long_cycle(N):
+        raise ValueError("tour does not read the labels in order")
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -113,27 +70,22 @@ def _validate_tree(tree: BicoloredTree, k: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _grow(tree: BicoloredTree, color: str, vertex: int, entry: int) -> PlaneTree:
-    """Plane subtree hanging below a vertex entered via edge label
-    entry; children follow the rotation after the entry label."""
-    cyc = tree.white[vertex] if color == "white" else tree.black[vertex]
-    pos = cyc.index(entry)
+def _grow(turn: Permutation, other: Permutation, entry: int) -> PlaneTree:
+    """Plane subtree hanging below the vertex of turn entered via edge
+    entry; its children are turn(entry), turn^2(entry), ... up to entry,
+    each grown with the two rotations swapped."""
     children = []
-    for off in range(1, len(cyc)):
-        label = cyc[(pos + off) % len(cyc)]
-        if color == "white":
-            children.append(_grow(tree, "black", tree.black_of(label), label))
-        else:
-            children.append(_grow(tree, "white", tree.white_of(label), label))
+    label = turn(entry)
+    while label != entry:
+        children.append(_grow(other, turn, label))
+        label = turn(label)
     return tuple(children)
 
 
 def split_tree(tree: BicoloredTree) -> tuple[PlaneTree, PlaneTree]:
     """Delete the root edge 1 and return the plane trees rooted at its
     white and black endpoints."""
-    white_side = _grow(tree, "white", tree.white_of(1), 1)
-    black_side = _grow(tree, "black", tree.black_of(1), 1)
-    return white_side, black_side
+    return _grow(tree.white, tree.black, 1), _grow(tree.black, tree.white, 1)
 
 
 def contract(tree: PlaneTree, k: int) -> PlaneTree:
@@ -378,11 +330,7 @@ def enumerate_ideals(params: KParams) -> list[OrderIdeal]:
 
     def extend(j: int, counts: list[int]) -> None:
         if j == n:
-            arcs = set()
-            for row, c in enumerate(counts):
-                a = k * row + 1
-                arcs.update((a, a + t) for t in range(1, c + 1))
-            out.append(OrderIdeal(params, frozenset(arcs)))
+            out.append(OrderIdeal(params, frozenset(counts_to_arcs(counts, k))))
             return
         lo = max(0, (counts[-1] if counts else 0) - k)
         for c in range(lo, k * (n - 1 - j) + 2):
@@ -510,17 +458,12 @@ def path_to_ideal(word: str, params: KParams) -> OrderIdeal:
             offsets.append(downs)
         else:
             downs += 1
-    # offsets[0] is the start; e_j = offsets[j] for j = 1..n
-    arcs = set()
-    for j in range(1, n + 1):
-        a = k * (j - 1) + 1
-        c = a - offsets[j]
-        if c < 0:
-            raise ValueError("path dips below the staircase")
-        row = n + 1 - j
-        ra = k * (row - 1) + 1
-        arcs.update((ra, ra + t) for t in range(1, c + 1))
-    return OrderIdeal(params, frozenset(arcs))
+    # offsets[0] is the start; e_j = offsets[j] for j = 1..n, and row
+    # n + 1 - j holds a_j - e_j arcs
+    counts = tuple(k * (j - 1) + 1 - offsets[j] for j in range(n, 0, -1))
+    if min(counts) < 0:
+        raise ValueError("path dips below the staircase")
+    return OrderIdeal(params, frozenset(counts_to_arcs(counts, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -550,50 +493,35 @@ def _relabel_tour(
     """Reassemble a bicolored tree from its two root components and
     recover the partition by labeling edges along the tour."""
     N = params.N
-    # vertices: (color, id); rotations as edge-id lists, entry edge first
-    rotations: dict[tuple[str, int], list[int]] = {}
-    endpoints: dict[int, dict[str, tuple[str, int]]] = {}
-    counter = [0]
-    edge_counter = [0]
+    # turn[c][e]: the edge after e around its endpoint of colour c
+    # (0 white, 1 black); the root edge is 0
+    turn: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    ids = count(1)
 
-    def build(node: PlaneTree, color: str, entry_edge: int) -> None:
-        vid = (color, counter[0])
-        counter[0] += 1
-        rotations[vid] = [entry_edge]
-        endpoints.setdefault(entry_edge, {})[color] = vid
-        other = "black" if color == "white" else "white"
-        for child in node:
-            edge_counter[0] += 1
-            eid = edge_counter[0]
-            rotations[vid].append(eid)
-            endpoints.setdefault(eid, {})[color] = vid
-            build(child, other, eid)
+    def build(node: PlaneTree, colour: int, entry: int) -> None:
+        rotation = [entry] + [next(ids) for _ in node]
+        turn[colour].update(zip(rotation, rotation[1:] + rotation[:1]))
+        for child, edge in zip(node, rotation[1:]):
+            build(child, 1 - colour, edge)
 
-    build(white, "white", 0)
-    build(black, "black", 0)
-    if edge_counter[0] != N - 1:
+    build(white, 0, 0)
+    build(black, 1, 0)
+    if next(ids) != N:
         raise ValueError("trees do not have N - 1 non-root edges")
-    # tour: traverse white->black assigning labels in visit order
-    labels: dict[int, int] = {}
+    # tour: cross white to black, labeling the edges in visit order
+    label: dict[int, int] = {}
     edge = 0
-    for label in range(1, N + 1):
-        if edge in labels:
+    for step in range(1, N + 1):
+        if edge in label:
             raise ValueError("tour revisited an edge before closing")
-        labels[edge] = label
-        bvid = endpoints[edge]["black"]
-        rot = rotations[bvid]
-        nxt = rot[(rot.index(edge) + 1) % len(rot)]
-        wvid = endpoints[nxt]["white"]
-        rot = rotations[wvid]
-        edge = rot[(rot.index(nxt) + 1) % len(rot)]
+        label[edge] = step
+        edge = turn[0][turn[1][edge]]
     if edge != 0:
         raise ValueError("tour did not close after N steps")
-    cycles = tuple(
-        tuple(labels[e] for e in rot)
-        for vid, rot in rotations.items()
-        if vid[0] == "white"
-    )
-    return NoncrossingElement(from_cycles(N, cycles), params)
+    image = [0] * N
+    for edge in label:
+        image[label[edge] - 1] = label[turn[0][edge]]
+    return NoncrossingElement(Permutation(tuple(image)), params)
 
 
 def nn_to_nc(ideal: OrderIdeal) -> NoncrossingElement:

@@ -249,11 +249,24 @@ def phi_inverse(p: tuple[int, ...], params: KParams) -> Factorization:
 
 def check_orbit_size(params: KParams, max_states: int | None = None) -> int:
     """Refuse, with ValueError, an orbit of more than max_states states
-    (DEFAULT_MAX_STATES when None); return the cap in force."""
+    (DEFAULT_MAX_STATES when None) and, for n > 1, one whose support
+    masks do not fit an int64 (N > 62) or whose states do not fit the
+    int64 packing; return the cap in force."""
+    N, k, n = params.N, params.k, params.n
     cap = max_states if max_states is not None else DEFAULT_MAX_STATES
-    expected = chain_count(params.n, params.k)
+    expected = chain_count(n, k)
     if expected > cap:
         raise ValueError(f"the orbit has {expected} states, more than max_states = {cap}")
+    if n > 1:  # the long cycle alone needs no search
+        if N > 62:
+            raise ValueError(f"N = {N} points do not fit the int64 support masks (N <= 62)")
+        # no cap on the A x N atom table is needed: every atom begins a
+        # maximal chain, so A <= expected <= cap
+        A = nc_rank_count(n, k, 1)
+        if A**n > 2**63 - 1:
+            raise ValueError(
+                f"{A}**{n} packed states exceed the int64 packing limit 2**63 - 1"
+            )
     return cap
 
 
@@ -265,10 +278,8 @@ def orbit_and_class_report(params: KParams, max_states: int | None = None) -> di
 
     The orbit size equaling the chain count N^(n-1) certifies
     transitivity: the orbit consists of valid factorizations and the
-    chain count is the total number of them.  A request whose orbit
-    would exceed max_states, whose support masks do not fit an int64
-    (N > 62) or whose states do not fit the int64 packing is refused
-    with ValueError before anything is allocated.
+    chain count is the total number of them.  A request that
+    check_orbit_size refuses is refused before anything is allocated.
     """
     N, k, n = params.N, params.k, params.n
     cap = check_orbit_size(params, max_states)
@@ -276,15 +287,6 @@ def orbit_and_class_report(params: KParams, max_states: int | None = None) -> di
     if n == 1:  # the long cycle is its own only factorization
         orbit_size = class_count = 1
     else:
-        if N > 62:
-            raise ValueError(f"N = {N} points do not fit the int64 support masks (N <= 62)")
-        # no cap on the A x N atom table is needed: every atom begins a
-        # maximal chain, so A <= expected <= cap
-        A = nc_rank_count(n, k, 1)
-        if A**n > 2**63 - 1:
-            raise ValueError(
-                f"{A}**{n} packed states exceed the int64 packing limit 2**63 - 1"
-            )
         orbit_size, class_count = _frontier_search(N, k, n, cap)
     return {
         "orbit_size": orbit_size,

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from ncindiv.bijections import (
     OrderIdeal,
+    _relabel_tour,
     arc_poset_elements,
     ary_to_dyck,
     boundary_path,
@@ -47,7 +48,7 @@ def test_tree_validation_catches_bad_degrees():
     for params in (KParams(2, 3), KParams(3, 2)):
         for e in enumerate_nc(params):
             tree = gj_tree(e)  # raises if any check fails
-            degrees = [len(c) for c in tree.white + tree.black]
+            degrees = [len(c) for c in tree.white.cycles() + tree.black.cycles()]
             assert all(d % params.k == 1 % params.k for d in degrees)
 
 
@@ -59,6 +60,12 @@ def test_split_and_contract_shapes():
         assert is_ary(cw, params.k) and is_ary(cb, params.k)
         assert expand(cw, params.k) == white
         assert expand(cb, params.k) == black
+
+
+def test_relabel_tour_refuses_a_wrong_edge_count():
+    # two leaves hold only the root edge, where N = 3 needs two more
+    with pytest.raises(ValueError, match="N - 1 non-root edges"):
+        _relabel_tour((), (), KParams(1, 2))
 
 
 def test_tree_text_round_trip():

@@ -319,6 +319,10 @@ PINNED_STDOUT = {
         "b28e7773beeca27b88895a596f5b79aba4050a873a4590dc0311ac2ca699f43f",
     ("bijection", "--k", "2", "--n", "3", "--format", "json"):
         "dd7b6f7012c6b6654cbb11d1a134790cd3f1e31eb354adc78f87d05e2db54467",
+    ("bijection", "--k", "1", "--n", "6"):
+        "6ba6e06a181b87484ffe7219c912fa6108932b2bd5576c1eafb8fcb93460818a",
+    ("bijection", "--k", "3", "--n", "3", "--format", "json"):
+        "53c2461ee1f93366aa2213bb056f541358d7c7b8a2ed9bbeabb575c7da197941",
     ("hurwitz", "--k", "2", "--n", "3", "--format", "json"):
         "522e45cbbcbd487eb6548cc7c3fe57471a90a338e2f4c94cca615d86115270ab",
     ("mobius", "--k", "2", "--n", "3", "--m", "2", "--format", "json"):

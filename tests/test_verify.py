@@ -37,6 +37,11 @@ def test_report_serialization():
     [
         ({"max_n": 5}, r"refusing full poset build at N = 16 > 13"),
         ({"max_n": 3, "max_states": 5}, r"the orbit has 16 states, more than max_states = 5"),
+        # (1,11) is refused at the int64 packing, past every earlier (k, n)
+        (
+            {"max_n": 12, "max_k": 1, "max_states": 10**13},
+            r"66\*\*11 packed states exceed the int64 packing limit",
+        ),
     ],
 )
 def test_refused_range_is_refused_before_the_first_check(monkeypatch, kwargs, message):
