@@ -4,8 +4,8 @@ One subcommand per capability: exact counts, enumeration, poset and
 Cambrian exports, chain/zeta/Mobius evaluations, the m-divisible
 extension, Hurwitz orbits, the bijection pipeline, the nonnesting side,
 the type B lab, and the full verification suite.  Output is
-deterministic for fixed flags: enumerations are sorted and no
-timestamps appear in any data stream.
+deterministic for fixed flags: the package defines every printed
+order (none is set iteration's) and no data stream has a timestamp.
 
 Each `cmd_*` handler only computes: it returns its output, a string or,
 for the streamed `nonnesting --format json`, an iterator of string

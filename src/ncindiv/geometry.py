@@ -19,7 +19,7 @@ dissections.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,7 +38,7 @@ class Dissection:
 
     Each diagonal is a pair (a, b): the chord from unbarred vertex a
     (position 2a - 1) to barred vertex b (position 2b).  str() gives the
-    theta_inverse word, computed when it is asked for.
+    least word of its commutation class (``theta_inverse``).
     """
 
     params: KParams
@@ -48,13 +48,12 @@ class Dissection:
         return frozenset((2 * a - 1, 2 * b) for a, b in self.diagonals)
 
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        """The cells of the dissection, as tuples of polygon positions
-        in clockwise order.  Computed once per instance and kept outside
-        the dataclass fields, so equality and hashing ignore it."""
+        """The cells, as tuples of positions clockwise from the least,
+        sorted by least position.  Computed once per instance and kept
+        outside the dataclass fields, so equality and hashing ignore it."""
         faces = self.__dict__.get("_faces")
         if faces is None:
-            all_positions = tuple(range(1, 2 * self.params.N + 1))
-            faces = tuple(_split_faces(all_positions, set(self.positions())))
+            faces = tuple(_split_faces(2 * self.params.N, self.positions()))
             object.__setattr__(self, "_faces", faces)
         return faces
 
@@ -76,8 +75,6 @@ class Dissection:
             cells = self.faces()
         except ValueError:
             return False
-        if len(cells) != n:
-            return False
         for cell in cells:
             if len(cell) != 2 * k + 2:
                 return False
@@ -86,29 +83,31 @@ class Dissection:
         return True
 
 
-def _split_faces(
-    polygon: tuple[int, ...], chords: set[tuple[int, int]]
-) -> list[tuple[int, ...]]:
-    """Recursively cut a convex polygon (vertex positions in clockwise
-    order) along the given chords."""
-    for p, q in chords:
-        if p in polygon and q in polygon:
-            i, j = polygon.index(p), polygon.index(q)
-            if i > j:
-                i, j = j, i
-            if j - i < 2 and not (i == 0 and j == len(polygon) - 1):
-                raise ValueError(f"chord ({p},{q}) joins adjacent vertices")
-            part1 = polygon[i : j + 1]
-            part2 = polygon[j:] + polygon[: i + 1]
-            rest = chords - {(p, q)}
-            sub1 = {c for c in rest if c[0] in part1 and c[1] in part1}
-            sub2 = {c for c in rest if c[0] in part2 and c[1] in part2}
-            if sub1 | sub2 != rest:
+def _split_faces(two_n: int, chords: Iterable[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """Cut the convex polygon on positions 1..two_n along the chords, in
+    one clockwise pass over a stack of the positions passed: position q
+    closes the cell of every chord (p, q), p < q, innermost first, which
+    is the stack from p on; only p and q stay.  The cells come sorted by
+    least position, each listed clockwise from it."""
+    starts: dict[int, list[int]] = {}
+    for chord in chords:
+        p, q = sorted(chord)
+        if p < 1 or q > two_n:
+            raise ValueError(f"chord ({p},{q}) leaves positions 1..{two_n}")
+        if q - p < 2 or (p, q) == (1, two_n):
+            raise ValueError(f"chord ({p},{q}) joins adjacent vertices")
+        starts.setdefault(q, []).append(p)
+    cells, stack = [], []
+    for q in range(1, two_n + 1):
+        stack.append(q)
+        for p in sorted(starts.get(q, ()), reverse=True):
+            if p not in stack:
                 raise ValueError("crossing chords")
-            return _split_faces(part1, sub1) + _split_faces(part2, sub2)
-    if chords:
-        raise ValueError("leftover chords")
-    return [polygon]
+            i = stack.index(p)
+            cells.append(tuple(stack[i:]))
+            del stack[i + 1 : -1]
+    cells.append(tuple(stack))
+    return sorted(cells)
 
 
 def theta(factors: Factorization, params: KParams) -> Dissection:
@@ -150,13 +149,12 @@ def theta(factors: Factorization, params: KParams) -> Dissection:
 
 
 def theta_inverse(d: Dissection) -> Factorization:
-    """A factorization in the commutation class mapped to d: the cell
-    supports ordered by the per-vertex rule (at each shared vertex,
-    factors appear in reverse clockwise order of their arcs)."""
-    params = d.params
-    N, n = params.N, params.n
-    cells = d.faces()
-    supports = [tuple(sorted((p + 1) // 2 for p in cell if p % 2 == 1)) for cell in cells]
+    """The least factorization, comparing support tuples, in the
+    commutation class mapped to d: the cell supports ordered by the
+    per-vertex rule (at each shared vertex, factors appear in reverse
+    clockwise order of their arcs), the least free support first."""
+    N, n = d.params.N, d.params.n
+    supports = sorted(tuple((p + 1) // 2 for p in cell if p % 2) for cell in d.faces())
     order_edges: set[tuple[int, int]] = set()
     for a in range(1, N + 1):
         at_a = [i for i, s in enumerate(supports) if a in s]

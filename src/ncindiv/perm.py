@@ -243,23 +243,23 @@ def ell_k_oracle(w: Permutation, k: int) -> int:
     return table[w.image]
 
 
-def covers_below(w: Permutation, k: int) -> set[Permutation]:
+def covers_below(w: Permutation, k: int) -> list[Permutation]:
     """Elements covered by w in the (k+1)-cycle generated order.
 
     w must have all cycle lengths 1 mod k.  Each cover cuts one cycle of
     w after k + 1 of its positions into k + 1 cyclic runs whose lengths
     are again all 1 mod k; equivalently u = w * t^{-1} for the (k+1)-cycle
-    t on those positions.  The cuts come in the order of combinations.
-    """
+    t on those positions.  Returned as a list: cycles by minima, and the
+    cuts of each cycle in combinations order."""
     if not is_one_mod_k(w, k):
         raise ValueError("covers_below needs all cycle lengths 1 mod k")
     cycles = w.cycles()
-    out = set()
+    out = []
     for c, cyc in enumerate(cycles):
         others, size, twice = cycles[:c] + cycles[c + 1 :], len(cyc), cyc + cyc
         for cut in combinations(range(size), k + 1):
             ends = cut[1:] + (cut[0] + size,)
             if all((b - a) % k == 1 % k for a, b in zip(cut, ends)):
                 runs = tuple(twice[a + 1 : b + 1] for a, b in zip(cut, ends))
-                out.add(from_cycles(w.degree, others + runs))
+                out.append(from_cycles(w.degree, others + runs))
     return out

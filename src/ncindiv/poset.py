@@ -285,7 +285,8 @@ def leq_nc(u: Permutation, w: Permutation, k: int) -> bool:
 @lru_cache(maxsize=None)
 def build_poset(params: KParams) -> HasseDiagram:
     """The graded poset of k-indivisible noncrossing partitions,
-    ordered by refinement (equivalently by the (k+1)-cycle order)."""
+    ordered by refinement (equivalently by the (k+1)-cycle order).  The
+    covers, and so DOT's edges, run by upper element in covers_below order."""
     elements = tuple(enumerate_nc(params))
     rank = tuple(e.rank for e in elements)
     index = {e.perm.image: i for i, e in enumerate(elements)}

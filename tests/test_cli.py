@@ -296,9 +296,9 @@ PINNED_STDOUT = {
     ("mdiv", "--k", "2", "--n", "3", "--m", "3", "--format", "json"):
         "9a1222705f283c975cf132dcd25c70ccd4c48ce961215882e1f35d71f52e5199",
     ("cambrian", "--k", "1", "--n", "5", "--format", "dot"):
-        "254eba5cce729e7c52b7aecce818d43401266363aa5a07bc1af1b50377e8815e",
+        "2ce74f88b3204ae9799e1f477c7f3497e619a333f87c3c336987da83b1ffbb8b",
     ("poset", "--k", "2", "--n", "3", "--format", "dot"):
-        "62a7faf5d32a3203340c358d2fd14a01be770257ceebcfdab020fe6cbf6a93e0",
+        "6df9c6509350aab880e3ea803530cfb8e35e240557ad9436374b3a250a488a71",
     ("nonnesting", "--k", "2", "--n", "4", "--format", "json"):
         "f9238a3a5a8d1691d7a988b7799fc374dac0056fc2a84547b0e8e30348ecb56d",
     ("nonnesting", "--k", "1", "--n", "8"):
@@ -340,9 +340,9 @@ PINNED_STDOUT = {
         "05ef59ed275d94f729885e7cbf97494cefe0747f4138f7ecbee2ca393286cf50",
     # cover order of the NC posets
     ("poset", "--k", "1", "--n", "6", "--format", "dot"):
-        "b613a594629609e408e4349e3b6f66c5f1a682ef703cfce0fcd13d10960e0cf1",
+        "8b5b1af85dd3de1efeeaf6b97ac59b81d40e717810d5c2225697bfb844e8d5d5",
     ("poset", "--k", "3", "--n", "3", "--format", "dot"):
-        "f3c42152ddfefc9f14564bffdd549bd647769b2f9580a05de827f99c269dc2a8",
+        "a4897d2df5d883ed3bafa5e56f4593192d1d382e5a808a222ded3bb4c5c5f5b6",
 }
 
 

@@ -1,3 +1,6 @@
+import random
+import re
+
 import pytest
 
 from ncindiv import geometry, hurwitz
@@ -7,6 +10,7 @@ from ncindiv.geometry import (
     Dissection,
     _blocked_position,
     _cell_union,
+    _split_faces,
     all_dissections,
     build_cambrian,
     diagonal_for_pair,
@@ -18,6 +22,7 @@ from ncindiv.hurwitz import (
     commutation_classes,
     enumerate_factorizations,
     hurwitz_move,
+    support,
 )
 from ncindiv.nc import ENUMERATION_MAX_N
 from ncindiv.perm import KParams, parse_cycles
@@ -76,6 +81,10 @@ def test_dissections_are_theta_of_the_commutation_classes(k, n):
     assert {d.diagonals for d in all_dissections(params)} == {
         theta(next(iter(cls)), params).diagonals for cls in classes
     }
+    # the label of a dissection is the least word of its class
+    for cls in classes:
+        least = min(cls, key=lambda w: tuple(support(t) for t in w))
+        assert theta_inverse(theta(next(iter(cls)), params)) == least
 
 
 @pytest.mark.parametrize("k, n", ADMITTED)
@@ -118,12 +127,47 @@ def test_unblocked_rotation_count(k, n):
 
 
 def test_theta_round_trip():
-    # theta_inverse also checks each word against the long cycle
-    for k, n in ((1, 3), (2, 2), (2, 3), (3, 2), (1, 4), (1, 5), (2, 4), (3, 3), (4, 3)):
+    # theta_inverse also checks each word against the long cycle; the
+    # label depends only on the diagonals, not on how they were built
+    for k, n in ((1, 3), (2, 2), (2, 3), (3, 2), (1, 4), (1, 5), (2, 4), (3, 3), (4, 3), (3, 4)):
         params = KParams(k, n)
         for d in all_dissections(params):
             word = theta_inverse(d)
             assert theta(word, params) == d
+            assert str(theta(word, params)) == str(d)
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (3, 3)])
+def test_faces_ignore_the_chord_order(k, n):
+    rng = random.Random(0)
+    params = KParams(k, n)
+    for d in all_dissections(params):
+        chords = sorted(d.positions())
+        faces = _split_faces(2 * params.N, chords)
+        assert faces == list(d.faces())
+        assert [cell[0] for cell in faces] == sorted(cell[0] for cell in faces)
+        assert all(list(cell) == sorted(cell) for cell in faces)
+        for _ in range(3):
+            rng.shuffle(chords)
+            assert _split_faces(2 * params.N, chords) == faces
+            assert _split_faces(2 * params.N, [(q, p) for p, q in chords]) == faces
+
+
+@pytest.mark.parametrize(
+    "diagonals, message",
+    [
+        ({(1, 2), (2, 3)}, "crossing chords"),  # positions (1,4) and (3,6)
+        ({(1, 1), (3, 4)}, "chord (1,2) joins adjacent vertices"),
+        ({(1, 4), (3, 4)}, "chord (1,8) joins adjacent vertices"),
+        ({(0, 2), (3, 4)}, "chord (-1,4) leaves positions 1..8"),
+        ({(2, 5), (3, 4)}, "chord (3,10) leaves positions 1..8"),
+    ],
+)
+def test_faces_refuse_bad_chords(diagonals, message):
+    d = Dissection(KParams(1, 3), frozenset(diagonals))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        d.faces()
+    assert not d.is_valid()
 
 
 def test_rotation_realizes_hurwitz_moves():
