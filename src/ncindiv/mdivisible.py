@@ -11,12 +11,25 @@ Each of the deltas d_1..d_m is itself an element of the base poset:
 x_i <= x_{i+1} <= c gives x_i^{-1} x_{i+1} <= x_i^{-1} c <= c.  So the
 order is read off the base poset's down masks, with no pairwise test:
 the chains below C' are those whose i-th delta lies above d'_i in the
-base poset for every i.  mchain_leq keeps the direct definition as an oracle.
+base poset for every i.
+
+The up-set of a chain C is the product of the lower intervals
+[e, d_i(C)], i = 1..m (Armstrong, Generalized noncrossing partitions and
+combinatorics of Coxeter groups, Mem. AMS 2009): every tuple of deltas
+below those of C is the delta tuple of a chain.  So the size, zeta at
+q = 2 and both Mobius invariants are sums over m-chains of products of
+weights of their deltas, and mdiv_sums computes them by a transfer over
+the comparable pairs of the base poset, with no m-chain listed.
 
 The maximum is the constant chain at the long cycle; there are many
-minimal elements, so Mobius invariants are studied on two completions:
-with an artificial bottom adjoined (hat) and with all minimal elements
-identified (bar).
+minimal elements, the chains with x_1 = e, so Mobius invariants are
+studied on two completions: with an artificial bottom adjoined (hat)
+and with all minimal elements identified (bar).
+
+mdiv_sums is tested against three oracles: build_mdiv_poset, the order
+itself, which the mdiv command prints; mchain_leq, its direct
+definition; and mdiv_mobius_{hat,bar}_brute, the Mobius recursion on
+the completions.
 """
 
 from __future__ import annotations
@@ -127,3 +140,46 @@ def mdiv_mobius_hat_brute(params: KParams, m: int) -> int:
 def mdiv_mobius_bar_brute(params: KParams, m: int) -> int:
     """Mobius invariant of the m-divisible poset with minima merged."""
     return with_merged_minima(build_mdiv_poset(params, m)).mobius_invariant()
+
+
+def mdiv_sums(params: KParams, m: int) -> tuple[int, int, int, int]:
+    """The size, zeta at q = 2, and the Mobius invariants with a bottom
+    adjoined and with the minima merged, of the m-divisible poset,
+    computed on the base poset alone.
+
+    Every comparable pair x <= y of the base poset carries its delta
+    x^{-1} y as a base index.  For a weight w on the base elements, the
+    transfer v_{m+1}(x) = [x = c], v_i(x) = sum over y >= x of
+    w(x^{-1} y) v_{i+1}(y) gives sum_x v_1(x) = sum over m-chains C of
+    prod_{i=1..m} w(d_i(C)); the minimal chains, those with x_1 = e,
+    make up v_1(e).  As up(C) is the product of the [e, d_i(C)],
+    w = 1 counts the chains, w(d) = |[e, d]| the pairs C <= C', and
+    w(d) = mu(e, d) gives mu(C, top), whose sums over all chains and
+    over the non-minimal ones are minus the two Mobius invariants."""
+    if m < 1:
+        raise ValueError("need m >= 1")
+    base = build_poset(params)
+    images = [e.perm.image for e in base.elements]
+    index = {image: f for f, image in enumerate(images)}
+    # inverses[x][t] = x^{-1}(t), with an unused place 0
+    inverses = [(0,) + e.perm.inverse().image for e in base.elements]
+    # above[x]: (y, delta x^{-1} y) for every y >= x
+    above = [[] for _ in images]
+    for y, mask in enumerate(base.down):
+        for x in _bits(mask):
+            delta = tuple(map(inverses[x].__getitem__, images[y]))
+            above[x].append((y, index[delta]))
+    top, bottom = base.top(), base.bottom()
+    sums = []
+    for w in (
+        [1] * len(base),
+        [d.bit_count() for d in base.down],
+        base.mobius_from_bottom(),
+    ):
+        v = [0] * len(base)
+        v[top] = 1
+        for _ in range(m):
+            v = [sum(w[d] * v[y] for y, d in row) for row in above]
+        sums.append((sum(v), v[bottom]))
+    (size, _), (pairs, _), (mu_all, mu_minimal) = sums
+    return size, pairs, -mu_all, mu_minimal - mu_all

@@ -343,6 +343,9 @@ PINNED_STDOUT = {
         "8b5b1af85dd3de1efeeaf6b97ac59b81d40e717810d5c2225697bfb844e8d5d5",
     ("poset", "--k", "3", "--n", "3", "--format", "dot"):
         "a4897d2df5d883ed3bafa5e56f4593192d1d382e5a808a222ded3bb4c5c5f5b6",
+    # the m-divisible checks at (2,5), m = 3, sum over 59,052 m-chains
+    ("verify", "--max-n", "5", "--max-k", "2"):
+        "685377b37e28165cac23fdaf2d0f829ca9d600b02d611cf6ea29b8acaeee1ace",
 }
 
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from ncindiv.counting import (
@@ -12,11 +14,12 @@ from ncindiv.mdivisible import (
     mchain_leq,
     mdiv_mobius_bar_brute,
     mdiv_mobius_hat_brute,
+    mdiv_sums,
     with_bottom,
     with_merged_minima,
 )
 from ncindiv.perm import KParams, ell_k, from_cycles, identity, long_cycle
-from ncindiv.poset import HasseDiagram, closure
+from ncindiv.poset import HasseDiagram, build_poset, closure
 
 PARAMS = [(k, n, m) for k in (1, 2) for n in (1, 2, 3) for m in (1, 2, 3)]
 # cases small enough to compare every pair against the delta predicate
@@ -108,3 +111,38 @@ def test_rank_is_first_component_length():
 def test_rejects_bad_m():
     with pytest.raises(ValueError):
         build_mdiv_poset(KParams(1, 2), 0)
+    with pytest.raises(ValueError):
+        mdiv_sums(KParams(1, 2), 0)
+
+
+@pytest.mark.parametrize("k,n,m", [(k, n, m) for k in (1, 2, 3) for n in (1, 2, 3) for m in (1, 2, 3)])
+def test_sums_match_the_mchain_order(k, n, m):
+    params = KParams(k, n)
+    poset = build_mdiv_poset(params, m)
+    assert mdiv_sums(params, m) == (
+        len(poset),
+        poset.multichain_count(2),
+        mdiv_mobius_hat_brute(params, m),
+        mdiv_mobius_bar_brute(params, m),
+    )
+
+
+@pytest.mark.parametrize("k,n,m", SMALL_PARAMS)
+def test_up_set_is_the_product_of_the_delta_intervals(k, n, m):
+    params = KParams(k, n)
+    base, poset = build_poset(params), build_mdiv_poset(params, m)
+    index = {e.perm: f for f, e in enumerate(base.elements)}
+    for i, chain in enumerate(poset.elements):
+        up = sum(poset.is_leq(i, j) for j in range(len(poset)))
+        assert up == math.prod(
+            base.down[index[d]].bit_count() for d in chain.deltas()[1:]
+        )
+
+
+@pytest.mark.parametrize("k,n,m", PARAMS)
+def test_minimal_chains_start_at_the_identity(k, n, m):
+    poset = build_mdiv_poset(KParams(k, n), m)
+    minimal = set(poset.minimal_elements())
+    e = identity(k * n + 1)
+    for i, chain in enumerate(poset.elements):
+        assert (i in minimal) == (chain.chain[0] == e)

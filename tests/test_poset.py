@@ -14,6 +14,7 @@ from ncindiv.counting import (
 from ncindiv.cli import main
 from ncindiv.geometry import build_cambrian, theta_inverse
 from ncindiv.mdivisible import build_mdiv_poset, with_bottom, with_merged_minima
+from ncindiv.nc import kreweras
 from ncindiv.perm import KParams, format_cycles, from_cycles, identity, long_cycle
 from ncindiv import poset as poset_module
 from ncindiv.poset import (
@@ -317,3 +318,28 @@ def test_poset_command_computes_no_mask(monkeypatch, capsys, fmt):
         assert "down" not in vars(built) and "up" not in vars(built)
     finally:
         build_poset.cache_clear()
+
+
+IDENTITY_PARAMS = [(1, 5), (1, 7), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("k, n", IDENTITY_PARAMS)
+def test_kreweras_is_an_anti_automorphism(k, n):
+    poset = build_poset(KParams(k, n))
+    index = {e.perm: i for i, e in enumerate(poset.elements)}
+    image = [index[kreweras(e.perm)] for e in poset.elements]
+    assert sorted(image) == list(range(len(poset)))
+    assert sorted((image[i], image[j]) for i, j in poset.covers) == sorted(
+        (j, i) for i, j in poset.covers
+    )
+
+
+@pytest.mark.parametrize("k, n", IDENTITY_PARAMS)
+def test_lower_intervals_are_products_over_the_blocks(k, n):
+    poset = build_poset(KParams(k, n))
+    for e, mask in zip(poset.elements, poset.down):
+        blocks = e.perm.cycles()
+        assert all((len(b) - 1) % k == 0 for b in blocks)
+        assert mask.bit_count() == math.prod(
+            nc_cardinality((len(b) - 1) // k, k) for b in blocks
+        )

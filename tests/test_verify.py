@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ncindiv import verify
+from ncindiv.mdivisible import build_mdiv_poset
 from ncindiv.verify import Check, format_report, run_suite, suite_report
 
 
@@ -19,6 +20,13 @@ def test_small_suite_all_pass():
     assert report["failed"] == 0
     assert report["passed"] + report["open"] == report["total"]
     assert report["total"] == len(checks) > 0
+
+
+def test_default_suite_builds_no_mchain_order():
+    build_mdiv_poset.cache_clear()
+    report = suite_report(run_suite())
+    assert report["total"] > 0 and report["failed"] == 0
+    assert build_mdiv_poset.cache_info().currsize == 0
 
 
 def test_report_serialization():
