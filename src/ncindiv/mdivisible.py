@@ -26,10 +26,12 @@ minimal elements, the chains with x_1 = e, so Mobius invariants are
 studied on two completions: with an artificial bottom adjoined (hat)
 and with all minimal elements identified (bar).
 
-mdiv_sums is tested against three oracles: build_mdiv_poset, the order
-itself, which the mdiv command prints; mchain_leq, its direct
-definition; and mdiv_mobius_{hat,bar}_brute, the Mobius recursion on
-the completions.
+Both builders, build_mdiv_poset (the order, which the mdiv command
+prints) and mdiv_sums, read the deltas through one helper, _quotient:
+the base index of x^{-1} y, read off image tuples.  The oracles are
+mchain_leq, the order's direct definition on Permutation products, and
+mdiv_mobius_{hat,bar}_brute, the Mobius recursion on the completions of
+the order; mdiv_sums is tested against build_mdiv_poset and those.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import and_
 
-from .perm import KParams, Permutation, ell_k, format_cycles, long_cycle
+from .perm import KParams, Permutation, format_cycles, long_cycle
 from .poset import HasseDiagram, _bits, build_poset, leq_nc
 
 
@@ -49,10 +51,6 @@ class MChain:
     chain: tuple[Permutation, ...]
     params: KParams
 
-    @property
-    def m(self) -> int:
-        return len(self.chain)
-
     def deltas(self) -> tuple[Permutation, ...]:
         """d_0 = x_1, d_i = x_i^{-1} x_{i+1}, d_m = x_m^{-1} c_N."""
         ext = self.chain + (long_cycle(self.params.N),)
@@ -60,12 +58,6 @@ class MChain:
         for a, b in zip(ext, ext[1:]):
             out.append(a.inverse() * b)
         return tuple(out)
-
-    @property
-    def rank(self) -> int:
-        r = ell_k(self.chain[0], self.params.k)
-        assert r is not None
-        return r
 
     def __str__(self) -> str:
         return " <= ".join(format_cycles(x) for x in self.chain)
@@ -79,19 +71,27 @@ def mchain_leq(c1: MChain, c2: MChain) -> bool:
     return all(leq_nc(b, a, k) for a, b in zip(d1[1:], d2[1:]))
 
 
+def _quotient(base: HasseDiagram):
+    """The function q(x, y) giving the base index of x^{-1} y for base
+    indices x <= y, read off image tuples."""
+    images = [e.perm.image for e in base.elements]
+    index = {image: f for f, image in enumerate(images)}
+    # inverses[x][t] = x^{-1}(t), with an unused place 0
+    inverses = [(0,) + e.perm.inverse().image for e in base.elements]
+    return lambda x, y: index[tuple(map(inverses[x].__getitem__, images[y]))]
+
+
 @lru_cache(maxsize=None)
 def build_mdiv_poset(params: KParams, m: int) -> HasseDiagram:
     """Poset of m-divisible k-indivisible noncrossing partitions."""
     if m < 1:
         raise ValueError("need m >= 1")
     base = build_poset(params)
-    chains = [
-        MChain(tuple(base.elements[i].perm for i in c), params)
-        for c in base.multichains(m)
-    ]
-    rank = tuple(c.rank for c in chains)
-    index = {e.perm.image: f for f, e in enumerate(base.elements)}
-    deltas = [[index[d.image] for d in c.deltas()[1:]] for c in chains]
+    quotient, top = _quotient(base), base.top()
+    indices = base.multichains(m)
+    chains = [MChain(tuple(base.elements[i].perm for i in c), params) for c in indices]
+    rank = tuple(base.rank[c[0]] for c in indices)
+    deltas = [list(map(quotient, c, c[1:] + (top,))) for c in indices]
     # with_delta[i][f]: chains whose delta d_{i+1} is base element f
     with_delta = [[0] * len(base) for _ in range(m)]
     for c, row in enumerate(deltas):
@@ -142,44 +142,41 @@ def mdiv_mobius_bar_brute(params: KParams, m: int) -> int:
     return with_merged_minima(build_mdiv_poset(params, m)).mobius_invariant()
 
 
-def mdiv_sums(params: KParams, m: int) -> tuple[int, int, int, int]:
-    """The size, zeta at q = 2, and the Mobius invariants with a bottom
-    adjoined and with the minima merged, of the m-divisible poset,
-    computed on the base poset alone.
+def mdiv_sums(params: KParams, m: int) -> list[tuple[int, int, int, int]]:
+    """For every m' = 1..m, entry m' - 1: the size, zeta at q = 2, and
+    the Mobius invariants with a bottom adjoined and with the minima
+    merged, of the m'-divisible poset, computed on the base poset alone.
 
     Every comparable pair x <= y of the base poset carries its delta
     x^{-1} y as a base index.  For a weight w on the base elements, the
     transfer v_{m+1}(x) = [x = c], v_i(x) = sum over y >= x of
     w(x^{-1} y) v_{i+1}(y) gives sum_x v_1(x) = sum over m-chains C of
     prod_{i=1..m} w(d_i(C)); the minimal chains, those with x_1 = e,
-    make up v_1(e).  As up(C) is the product of the [e, d_i(C)],
-    w = 1 counts the chains, w(d) = |[e, d]| the pairs C <= C', and
-    w(d) = mu(e, d) gives mu(C, top), whose sums over all chains and
-    over the non-minimal ones are minus the two Mobius invariants."""
+    make up v_1(e).  The transfer does not depend on m, so its j-th
+    step gives the sums for m' = j.  As up(C) is the product of the
+    [e, d_i(C)], w = 1 counts the chains, w(d) = |[e, d]| the pairs
+    C <= C', and w(d) = mu(e, d) gives mu(C, top), whose sums over all
+    chains and over the non-minimal ones are minus the two Mobius
+    invariants."""
     if m < 1:
         raise ValueError("need m >= 1")
     base = build_poset(params)
-    images = [e.perm.image for e in base.elements]
-    index = {image: f for f, image in enumerate(images)}
-    # inverses[x][t] = x^{-1}(t), with an unused place 0
-    inverses = [(0,) + e.perm.inverse().image for e in base.elements]
+    quotient = _quotient(base)
     # above[x]: (y, delta x^{-1} y) for every y >= x
-    above = [[] for _ in images]
+    above = [[] for _ in base.elements]
     for y, mask in enumerate(base.down):
         for x in _bits(mask):
-            delta = tuple(map(inverses[x].__getitem__, images[y]))
-            above[x].append((y, index[delta]))
+            above[x].append((y, quotient(x, y)))
     top, bottom = base.top(), base.bottom()
-    sums = []
-    for w in (
+    weights = (
         [1] * len(base),
         [d.bit_count() for d in base.down],
         base.mobius_from_bottom(),
-    ):
-        v = [0] * len(base)
-        v[top] = 1
-        for _ in range(m):
-            v = [sum(w[d] * v[y] for y, d in row) for row in above]
-        sums.append((sum(v), v[bottom]))
-    (size, _), (pairs, _), (mu_all, mu_minimal) = sums
-    return size, pairs, -mu_all, mu_minimal - mu_all
+    )
+    v = [[int(x == top) for x in range(len(base))] for _ in weights]
+    sums = []
+    for _ in range(m):
+        v = [[sum(w[d] * u[y] for y, d in row) for row in above] for w, u in zip(weights, v)]
+        size, pairs, mu = v
+        sums.append((sum(size), sum(pairs), -sum(mu), mu[bottom] - sum(mu)))
+    return sums

@@ -177,9 +177,7 @@ def _first_block(lo: int, hi: int, k: int):
         if len(block) % k == 1 % k:
             yield block, inner
         e = block[-1]
-        for f in range(e + 1, hi + 1, k if k > 1 else 1):
-            if (f - e) % k != 1 % k:
-                continue
+        for f in range(e + 1, hi + 1, k):
             for gap in _region_partitions(e + 1, f - 1, k):
                 stack.append((block + (f,), inner + gap))
 

@@ -246,20 +246,23 @@ def ell_k_oracle(w: Permutation, k: int) -> int:
 def covers_below(w: Permutation, k: int) -> list[Permutation]:
     """Elements covered by w in the (k+1)-cycle generated order.
 
-    w must have all cycle lengths 1 mod k.  Each cover cuts one cycle of
-    w after k + 1 of its positions into k + 1 cyclic runs whose lengths
-    are again all 1 mod k; equivalently u = w * t^{-1} for the (k+1)-cycle
-    t on those positions.  Returned as a list: cycles by minima, and the
+    w must have all cycle lengths 1 mod k.  Each cover cuts one cycle
+    (c_0 ... c_{s-1}) of w after k + 1 of its positions into k + 1
+    cyclic runs (a, b] whose lengths are again all 1 mod k; equivalently
+    u = w * t^{-1} for the (k+1)-cycle t on those positions.  u is w's
+    image with the k + 1 cut entries rewritten, u(c_b) = c_{a+1} for each
+    run, indices mod s.  Returned as a list: cycles by minima, and the
     cuts of each cycle in combinations order."""
     if not is_one_mod_k(w, k):
         raise ValueError("covers_below needs all cycle lengths 1 mod k")
-    cycles = w.cycles()
     out = []
-    for c, cyc in enumerate(cycles):
-        others, size, twice = cycles[:c] + cycles[c + 1 :], len(cyc), cyc + cyc
+    for cyc in w.cycles():
+        size, twice = len(cyc), cyc + cyc
         for cut in combinations(range(size), k + 1):
             ends = cut[1:] + (cut[0] + size,)
             if all((b - a) % k == 1 % k for a, b in zip(cut, ends)):
-                runs = tuple(twice[a + 1 : b + 1] for a, b in zip(cut, ends))
-                out.append(from_cycles(w.degree, others + runs))
+                image = list(w.image)
+                for a, b in zip(cut, ends):
+                    image[twice[b] - 1] = twice[a + 1]
+                out.append(Permutation(tuple(image)))
     return out

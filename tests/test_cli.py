@@ -37,6 +37,10 @@ def test_chains_zeta_mobius(capsys):
     code, out = run(capsys, "mobius", "--k", "2", "--n", "3", "--m", "2", "--format", "json")
     assert code == 0
     assert json.loads(out) == {"bottom_adjoined": 22, "minima_merged": -92}
+    assert run(capsys, "mobius", "--k", "2", "--n", "3", "--m", "2") == (
+        0,
+        "bottom adjoined 22\nminima merged -92\n",
+    )
 
 
 def test_enumerate(capsys):
@@ -286,6 +290,26 @@ def test_cli_import_leaves_numpy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncindiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cli_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ncindiv.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+
+    result = cli_run("count", "--k", "2", "--n", "3")
+    assert (result.returncode, result.stdout) == (0, "30\n"), result.stderr
+    result = cli_run("enumerate", "--k", "1", "--n", "13")
+    assert result.returncode == 2
+    assert result.stderr == "error: refusing full poset build at N = 14 > 13\n"
+    assert "Traceback" not in result.stderr
 
 
 # SHA-256 of exports whose bytes must not change: element order, labels

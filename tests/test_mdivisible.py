@@ -10,6 +10,7 @@ from ncindiv.counting import (
 )
 from ncindiv.mdivisible import (
     MChain,
+    _quotient,
     build_mdiv_poset,
     mchain_leq,
     mdiv_mobius_bar_brute,
@@ -19,7 +20,7 @@ from ncindiv.mdivisible import (
     with_merged_minima,
 )
 from ncindiv.perm import KParams, ell_k, from_cycles, identity, long_cycle
-from ncindiv.poset import HasseDiagram, build_poset, closure
+from ncindiv.poset import HasseDiagram, _bits, build_poset, closure
 
 PARAMS = [(k, n, m) for k in (1, 2) for n in (1, 2, 3) for m in (1, 2, 3)]
 # cases small enough to compare every pair against the delta predicate
@@ -33,7 +34,8 @@ def test_delta_sequence():
     d = chain.deltas()
     assert d[0] == x and d[1] == identity(7)
     assert x * d[2] == long_cycle(7)
-    assert chain.rank == 1
+    poset = build_mdiv_poset(params, 2)
+    assert poset.rank[poset.elements.index(chain)] == 1
 
 
 def test_order_has_constant_top():
@@ -117,14 +119,28 @@ def test_rejects_bad_m():
 
 @pytest.mark.parametrize("k,n,m", [(k, n, m) for k in (1, 2, 3) for n in (1, 2, 3) for m in (1, 2, 3)])
 def test_sums_match_the_mchain_order(k, n, m):
+    """One call gives every m' <= m; at m = 3 this is the call verify makes."""
     params = KParams(k, n)
-    poset = build_mdiv_poset(params, m)
-    assert mdiv_sums(params, m) == (
-        len(poset),
-        poset.multichain_count(2),
-        mdiv_mobius_hat_brute(params, m),
-        mdiv_mobius_bar_brute(params, m),
-    )
+    sums = mdiv_sums(params, m)
+    assert len(sums) == m
+    for m_, entry in enumerate(sums, 1):
+        poset = build_mdiv_poset(params, m_)
+        assert entry == (
+            len(poset),
+            poset.multichain_count(2),
+            mdiv_mobius_hat_brute(params, m_),
+            mdiv_mobius_bar_brute(params, m_),
+        )
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (1, 5), (2, 3), (3, 2)])
+def test_quotient_is_the_inverse_product(k, n):
+    base = build_poset(KParams(k, n))
+    quotient = _quotient(base)
+    perms = [e.perm for e in base.elements]
+    for y, mask in enumerate(base.down):
+        for x in _bits(mask):
+            assert perms[quotient(x, y)] == perms[x].inverse() * perms[y]
 
 
 @pytest.mark.parametrize("k,n,m", SMALL_PARAMS)

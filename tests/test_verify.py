@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ncindiv import verify
-from ncindiv.mdivisible import build_mdiv_poset
+from ncindiv.mdivisible import build_mdiv_poset, mdiv_sums
 from ncindiv.verify import Check, format_report, run_suite, suite_report
 
 
@@ -27,6 +27,18 @@ def test_default_suite_builds_no_mchain_order():
     report = suite_report(run_suite())
     assert report["total"] > 0 and report["failed"] == 0
     assert build_mdiv_poset.cache_info().currsize == 0
+
+
+def test_default_suite_computes_the_mdiv_sums_once_per_params(monkeypatch):
+    calls = []
+
+    def counted(params, m):
+        calls.append((params, m))
+        return mdiv_sums(params, m)
+
+    monkeypatch.setattr(verify, "mdiv_sums", counted)
+    run_suite()
+    assert len(calls) == len(set(calls)) == 9
 
 
 def test_report_serialization():
