@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .counting import commutation_class_count
 from .hurwitz import Factorization, factorization_product, support
@@ -304,7 +303,6 @@ def _blocked_position(union: Sequence[int], k: int, two_n: int) -> frozenset[int
     return best[1]
 
 
-@lru_cache(maxsize=None)
 def build_cambrian(params: KParams) -> HasseDiagram:
     """The Cambrian poset on dissections, oriented by clockwise diagonal
     rotations.

@@ -67,13 +67,12 @@ rotation classes:
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 from math import gcd
 
 from .counting import chain_count, nc_rank_count
 from .perm import KParams, Permutation, breadth_first, from_cycles, long_cycle
-from .poset import build_poset
+from .poset import _quotient, build_poset
 
 Factorization = tuple[Permutation, ...]
 
@@ -138,10 +137,11 @@ def commute(a: Permutation, b: Permutation) -> bool:
 def enumerate_factorizations(params: KParams) -> list[Factorization]:
     """All reduced factorizations, read off the maximal chains of the
     noncrossing partition poset: t_i is the quotient x^{-1} y of the
-    chain's i-th cover (x, y), computed once per cover."""
+    chain's i-th cover (x, y), a base element (x^{-1} y <= x^{-1} c <= c),
+    looked up once per cover."""
     poset = build_poset(params)
-    perms = [e.perm for e in poset.elements]
-    factor = {(i, j): perms[i].inverse() * perms[j] for i, j in poset.covers}
+    quotient = _quotient(poset)
+    factor = {(i, j): poset.elements[quotient(i, j)].perm for i, j in poset.covers}
     chains = poset.maximal_chains()
     return [tuple(factor[step] for step in zip(c, c[1:])) for c in chains]
 
@@ -270,7 +270,6 @@ def check_orbit_size(params: KParams, max_states: int | None = None) -> int:
     return cap
 
 
-@lru_cache(maxsize=32)
 def orbit_and_class_report(params: KParams, max_states: int | None = None) -> dict:
     """One breadth-first pass over the Hurwitz orbit of the canonical
     factorization, reporting the orbit size and the number of

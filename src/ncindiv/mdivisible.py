@@ -27,8 +27,9 @@ studied on two completions: with an artificial bottom adjoined (hat)
 and with all minimal elements identified (bar).
 
 Both builders, build_mdiv_poset (the order, which the mdiv command
-prints) and mdiv_sums, read the deltas through one helper, _quotient:
-the base index of x^{-1} y, read off image tuples.  The oracles are
+prints) and mdiv_sums, read the deltas through poset._quotient: the
+base index of x^{-1} y, read off image tuples.  mdiv_sums takes the
+base poset from its caller, so verify lists it once.  The oracles are
 mchain_leq, the order's direct definition on Permutation products, and
 mdiv_mobius_{hat,bar}_brute, the Mobius recursion on the completions of
 the order; mdiv_sums is tested against build_mdiv_poset and those.
@@ -37,11 +38,11 @@ the order; mdiv_sums is tested against build_mdiv_poset and those.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_
 
 from .perm import KParams, Permutation, format_cycles, long_cycle
-from .poset import HasseDiagram, _bits, build_poset, leq_nc
+from .poset import HasseDiagram, _bits, _quotient, build_poset, leq_nc
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,6 @@ def mchain_leq(c1: MChain, c2: MChain) -> bool:
     return all(leq_nc(b, a, k) for a, b in zip(d1[1:], d2[1:]))
 
 
-def _quotient(base: HasseDiagram):
-    """The function q(x, y) giving the base index of x^{-1} y for base
-    indices x <= y, read off image tuples."""
-    images = [e.perm.image for e in base.elements]
-    index = {image: f for f, image in enumerate(images)}
-    # inverses[x][t] = x^{-1}(t), with an unused place 0
-    inverses = [(0,) + e.perm.inverse().image for e in base.elements]
-    return lambda x, y: index[tuple(map(inverses[x].__getitem__, images[y]))]
-
-
-@lru_cache(maxsize=None)
 def build_mdiv_poset(params: KParams, m: int) -> HasseDiagram:
     """Poset of m-divisible k-indivisible noncrossing partitions."""
     if m < 1:
@@ -142,10 +132,11 @@ def mdiv_mobius_bar_brute(params: KParams, m: int) -> int:
     return with_merged_minima(build_mdiv_poset(params, m)).mobius_invariant()
 
 
-def mdiv_sums(params: KParams, m: int) -> list[tuple[int, int, int, int]]:
+def mdiv_sums(base: HasseDiagram, m: int) -> list[tuple[int, int, int, int]]:
     """For every m' = 1..m, entry m' - 1: the size, zeta at q = 2, and
     the Mobius invariants with a bottom adjoined and with the minima
-    merged, of the m'-divisible poset, computed on the base poset alone.
+    merged, of the m'-divisible poset over base, a build_poset result,
+    computed on base alone.
 
     Every comparable pair x <= y of the base poset carries its delta
     x^{-1} y as a base index.  For a weight w on the base elements, the
@@ -160,7 +151,6 @@ def mdiv_sums(params: KParams, m: int) -> list[tuple[int, int, int, int]]:
     invariants."""
     if m < 1:
         raise ValueError("need m >= 1")
-    base = build_poset(params)
     quotient = _quotient(base)
     # above[x]: (y, delta x^{-1} y) for every y >= x
     above = [[] for _ in base.elements]

@@ -142,9 +142,6 @@ class NoncrossingElement:
         assert r is not None
         return r
 
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return self.perm.cycles()
-
     def to_record(self) -> dict:
         """JSON-ready record with fixed points omitted."""
         return {

@@ -102,9 +102,6 @@ class Permutation:
     def is_even(self) -> bool:
         return (self.degree - self.cycle_count()) % 2 == 0
 
-    def __repr__(self) -> str:
-        return f"Permutation({format_cycles(self)!r})"
-
     def __str__(self) -> str:
         return format_cycles(self)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import Counter
-from functools import cached_property, lru_cache
+from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
 from .nc import enumerate_nc
@@ -282,7 +282,6 @@ def leq_nc(u: Permutation, w: Permutation, k: int) -> bool:
     return lq is not None and lu + lq == lw
 
 
-@lru_cache(maxsize=None)
 def build_poset(params: KParams) -> HasseDiagram:
     """The graded poset of k-indivisible noncrossing partitions,
     ordered by refinement (equivalently by the (k+1)-cycle order).  The
@@ -295,3 +294,13 @@ def build_poset(params: KParams) -> HasseDiagram:
         for u in covers_below(e.perm, params.k):
             covers.append((index[u.image], j))
     return HasseDiagram(elements=elements, covers=tuple(covers), rank=rank)
+
+
+def _quotient(base: HasseDiagram):
+    """The function q(x, y) giving the base index of x^{-1} y for base
+    indices x <= y of build_poset, read off image tuples."""
+    images = [e.perm.image for e in base.elements]
+    index = {image: f for f, image in enumerate(images)}
+    # inverses[x][t] = x^{-1}(t), with an unused place 0
+    inverses = [(0,) + e.perm.inverse().image for e in base.elements]
+    return lambda x, y: index[tuple(map(inverses[x].__getitem__, images[y]))]

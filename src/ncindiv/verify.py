@@ -156,7 +156,7 @@ def run_suite(max_n: int = 3, max_k: int = 3, max_states: int | None = None) -> 
             Check(f"nonnesting round trip [{tag}]", True, round_trip)
         )
 
-        sums = mdiv_sums(params, 3)
+        sums = mdiv_sums(poset, 3)
         for m in (2, 3):
             mtag = f"{tag},m={m}"
             size, pairs, mobius_hat, mobius_bar = sums[m - 1]

@@ -1,8 +1,6 @@
 """Acceptance suite: one test per headline claim, exact equality only.
 
-Each test prints a single pass/fail line.  Expensive artifacts (the
-big Hurwitz orbits and posets) are cached by the library, so they are
-computed once and shared across criteria.
+Each test prints a single pass/fail line.
 """
 
 import random

@@ -1,8 +1,12 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ncindiv
 from ncindiv.nc import enumerate_nc
 from ncindiv.perm import (
     KParams,
@@ -151,6 +155,28 @@ def test_cycles_are_computed_once_and_leave_equality_alone():
     assert w.cycles(with_fixed_points=False) == ((1, 3), (2, 5, 4))
     assert w == twin and hash(w) == hash(twin)
     assert len({w, twin}) == 1
+
+
+def test_repr_of_a_rejected_image_returns():
+    """A failing test prints the frame's self, which may be an instance
+    whose __post_init__ rejected its image; repr must not walk cycles."""
+    probe = (
+        "from ncindiv.perm import Permutation\n"
+        "w = object.__new__(Permutation)\n"
+        "object.__setattr__(w, 'image', (3, 3, 4, 1))\n"
+        "print(repr(w))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ncindiv.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "Permutation(image=(3, 3, 4, 1))\n"
+    assert str(parse_cycles("(1 3)(2 5 4)", 6)) == "(1 3)(2 5 4)"
 
 
 def test_breadth_first_distances_order_and_cap():

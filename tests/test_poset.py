@@ -11,6 +11,7 @@ from ncindiv.counting import (
     nc_rank_count,
     zeta_value,
 )
+from ncindiv import cli
 from ncindiv.cli import main
 from ncindiv.geometry import build_cambrian, theta_inverse
 from ncindiv.mdivisible import build_mdiv_poset, with_bottom, with_merged_minima
@@ -295,10 +296,10 @@ def test_empty_diagram():
 
 
 def test_views_are_derived_only_when_read():
-    poset = build_poset.__wrapped__(KParams(1, 6))
+    poset = build_poset(KParams(1, 6))
     len(poset), poset.covers, poset.rank_census_csv(), poset.to_dot()
     assert "down" not in vars(poset) and "up" not in vars(poset)
-    mposet = build_mdiv_poset.__wrapped__(KParams(1, 4), 2)
+    mposet = build_mdiv_poset(KParams(1, 4), 2)
     mposet.multichain_count(2), mposet.minimal_elements()
     assert "covers" not in vars(mposet) and "up" not in vars(mposet)
 
@@ -308,16 +309,19 @@ def test_poset_command_computes_no_mask(monkeypatch, capsys, fmt):
     def refuse(size, relation):
         raise RuntimeError("closure computed")
 
+    built = []
+
+    def recorded(params):
+        built.append(build_poset(params))
+        return built[-1]
+
     monkeypatch.setattr(poset_module, "closure", refuse)
-    build_poset.cache_clear()
-    try:
-        code = main(["poset", "--k", "2", "--n", "3", "--format", fmt])
-        assert capsys.readouterr().err == ""
-        assert code == 0
-        built = build_poset(KParams(2, 3))
-        assert "down" not in vars(built) and "up" not in vars(built)
-    finally:
-        build_poset.cache_clear()
+    monkeypatch.setattr(cli, "build_poset", recorded)
+    code = main(["poset", "--k", "2", "--n", "3", "--format", fmt])
+    assert capsys.readouterr().err == ""
+    assert code == 0
+    assert len(built) == 1
+    assert "down" not in vars(built[0]) and "up" not in vars(built[0])
 
 
 IDENTITY_PARAMS = [(1, 5), (1, 7), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (4, 3)]

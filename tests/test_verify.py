@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from ncindiv import verify
-from ncindiv.mdivisible import build_mdiv_poset, mdiv_sums
+from ncindiv import mdivisible, poset, verify
+from ncindiv.mdivisible import mdiv_sums
+from ncindiv.nc import enumerate_nc
+from ncindiv.poset import build_poset
 from ncindiv.verify import Check, format_report, run_suite, suite_report
 
 
@@ -22,23 +24,44 @@ def test_small_suite_all_pass():
     assert report["total"] == len(checks) > 0
 
 
-def test_default_suite_builds_no_mchain_order():
-    build_mdiv_poset.cache_clear()
+def test_default_suite_builds_no_mchain_order(monkeypatch):
+    def refuse(params, m):
+        raise AssertionError("the m-chain order built during the suite")
+
+    monkeypatch.setattr(mdivisible, "build_mdiv_poset", refuse)
     report = suite_report(run_suite())
     assert report["total"] > 0 and report["failed"] == 0
-    assert build_mdiv_poset.cache_info().currsize == 0
 
 
 def test_default_suite_computes_the_mdiv_sums_once_per_params(monkeypatch):
-    calls = []
+    built, calls = [], []
 
-    def counted(params, m):
-        calls.append((params, m))
-        return mdiv_sums(params, m)
+    def recorded(params):
+        built.append(build_poset(params))
+        return built[-1]
 
+    def counted(base, m):
+        calls.append((base, m))
+        return mdiv_sums(base, m)
+
+    monkeypatch.setattr(verify, "build_poset", recorded)
     monkeypatch.setattr(verify, "mdiv_sums", counted)
     run_suite()
     assert len(calls) == len(set(calls)) == 9
+    # each call reads the base poset the suite built for its (k, n)
+    assert all(base is b for (base, _), b in zip(calls, built, strict=True))
+
+
+def test_default_suite_lists_each_base_poset_once(monkeypatch):
+    listed = []
+
+    def counted(params):
+        listed.append(params)
+        return enumerate_nc(params)
+
+    monkeypatch.setattr(poset, "enumerate_nc", counted)
+    run_suite()
+    assert len(listed) == len(set(listed)) == 9
 
 
 def test_report_serialization():
