@@ -26,7 +26,6 @@ from .nc import (
     is_k_indivisible_ii,
     is_k_indivisible_iii,
     is_noncrossing,
-    iter_nc,
     kreweras,
 )
 from .perm import (
@@ -64,7 +63,6 @@ __all__ = [
     "is_k_indivisible_iii",
     "is_noncrossing",
     "is_one_mod_k",
-    "iter_nc",
     "kreweras",
     "long_cycle",
     "mobius_invariant",

@@ -123,39 +123,12 @@ def is_ary(tree: PlaneTree, k: int) -> bool:
     return len(tree) == k + 1 and all(is_ary(c, k) for c in tree)
 
 
-def tree_to_text(tree: PlaneTree) -> str:
-    """Nested-parenthesis serialization; a leaf is '()'."""
-    return "(" + "".join(tree_to_text(c) for c in tree) + ")"
-
-
-def tree_from_text(text: str) -> PlaneTree:
-    pos = 0
-
-    def parse() -> PlaneTree:
-        nonlocal pos
-        if pos >= len(text) or text[pos] != "(":
-            raise ValueError("malformed tree text")
-        pos += 1
-        children = []
-        while pos < len(text) and text[pos] == "(":
-            children.append(parse())
-        if pos >= len(text) or text[pos] != ")":
-            raise ValueError("malformed tree text")
-        pos += 1
-        return tuple(children)
-
-    out = parse()
-    if pos != len(text):
-        raise ValueError("trailing characters in tree text")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # (k+1)-ary trees and k-Dyck paths
 # ---------------------------------------------------------------------------
 
 
-def ary_to_dyck(tree: PlaneTree, k: int) -> str:
+def ary_to_dyck(tree: PlaneTree) -> str:
     """Preorder reading: internal vertex -> U, leaf -> R, with the last
     leaf of the preorder omitted."""
     out: list[str] = []
@@ -476,8 +449,8 @@ def nc_to_paths(element: NoncrossingElement) -> tuple[str, str]:
     k = element.params.k
     white, black = split_tree(gj_tree(element))
     return (
-        ary_to_dyck(contract(white, k), k),
-        ary_to_dyck(contract(black, k), k),
+        ary_to_dyck(contract(white, k)),
+        ary_to_dyck(contract(black, k)),
     )
 
 

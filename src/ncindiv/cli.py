@@ -290,13 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *, kn=True, formats=None, default_format="text"):
+    def add(name, func, help_text, *, kn=True, formats=None):
         p = sub.add_parser(name, help=help_text)
         if kn:
             p.add_argument("--k", type=int, required=True)
             p.add_argument("--n", type=int, required=True)
         if formats:
-            p.add_argument("--format", choices=formats, default=default_format)
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.set_defaults(func=func)
         return p

@@ -309,7 +309,9 @@ def build_cambrian(params: KParams) -> HasseDiagram:
 
     Within the union of the two cells adjacent to a diagonal, exactly one
     of the 2k+1 positions the diagonal can occupy is blocked (see
-    ``_blocked_position``); every other clockwise rotation is a cover.
+    ``_blocked_position``); the other clockwise rotations generate the
+    order, and the covers, in (i, j) order, are the rotations that no
+    other rotation of the same dissection bypasses.
     The result is bounded: the minimum is the image of the
     consecutive-blocks factorization (1..k+1)(k+1..2k+1)...(N-k..N) and
     the maximum is the image of (k+1..2k+1)(2k+1..3k+1)...(1,..,k,N).
@@ -330,8 +332,10 @@ def build_cambrian(params: KParams) -> HasseDiagram:
     dissections = all_dissections(params)
     index = {d.diagonals: i for i, d in enumerate(dissections)}
     two_n = 2 * params.N
-    edges: set[tuple[int, int]] = set()
-    for i, d in enumerate(dissections):
+    # two diagonals of one dissection never rotate to the same dissection
+    rotations: list[list[int]] = []
+    for d in dissections:
+        targets = []
         for diag in d.diagonals:
             p, q = 2 * diag[0] - 1, 2 * diag[1]
             union = _cell_union(d, diag)
@@ -340,7 +344,15 @@ def build_cambrian(params: KParams) -> HasseDiagram:
             rotated = (d.diagonals - {diag}) | {_rotated(union, diag, True)}
             if rotated not in index:
                 raise ValueError("a rotation left the dissections")
-            edges.add((i, index[rotated]))
-    poset = HasseDiagram.from_order(dissections, closure(len(dissections), edges))
-    poset.covers = tuple(sorted(poset.covers))
+            targets.append(index[rotated])
+        rotations.append(sorted(targets))
+    down = closure(len(dissections), ((i, j) for i, ts in enumerate(rotations) for j in ts))
+    poset = HasseDiagram.from_order(dissections, down)
+    # a rotation i -> j is a cover unless another rotation t of i has t < j
+    poset.covers = tuple(
+        (i, j)
+        for i, ts in enumerate(rotations)
+        for j in ts
+        if not any(down[j] >> t & 1 for t in ts if t != j)
+    )
     return poset

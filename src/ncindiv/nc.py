@@ -27,6 +27,7 @@ from .perm import (
     ell_k,
     ell_k_oracle,
     format_cycles,
+    from_cycles,
     is_one_mod_k,
     long_cycle,
 )
@@ -79,7 +80,7 @@ def is_k_indivisible_i(w: Permutation, params: KParams) -> bool:
         raise ValueError("degree mismatch")
     if k % 2 == 0 and not w.is_even():
         return False
-    u = w.inverse() * long_cycle(N)
+    u = kreweras(w)
     a = ell_k(w, k)
     b = ell_k(u, k)
     if a is not None and b is not None:
@@ -179,16 +180,6 @@ def _first_block(lo: int, hi: int, k: int):
                 stack.append((block + (f,), inner + gap))
 
 
-def iter_nc(params: KParams):
-    """Lazily generate the k-indivisible noncrossing partitions of [N]
-    (order unspecified)."""
-    from .perm import from_cycles
-
-    N = params.N
-    for blocks in _region_partitions(1, N, params.k):
-        yield NoncrossingElement(from_cycles(N, blocks), params)
-
-
 def check_ground_set(params: KParams) -> None:
     """Refuse, with ValueError, a full enumeration of [N] past
     ENUMERATION_MAX_N, before anything is built."""
@@ -202,20 +193,19 @@ def enumerate_nc(params: KParams) -> list[NoncrossingElement]:
     """All k-indivisible noncrossing partitions of [N], sorted by the
     image tuple of the underlying permutation."""
     check_ground_set(params)
-    out = list(iter_nc(params))
+    N = params.N
+    out = [
+        NoncrossingElement(from_cycles(N, blocks), params)
+        for blocks in _region_partitions(1, N, params.k)
+    ]
     out.sort(key=lambda e: e.perm.image)
     return out
 
 
-def generated_count(params: KParams) -> int:
-    """Number of k-indivisible noncrossing partitions obtained by
-    running the recursive generator, without materializing elements."""
-    return sum(1 for _ in _region_partitions(1, params.N, params.k))
-
-
 def generated_rank_census(params: KParams) -> dict[int, int]:
-    """Number of generated elements per rank; the rank of a partition
-    with b blocks is (N - b) / k."""
+    """Number of generated elements per rank, counted without
+    materializing elements; the rank of a partition with b blocks is
+    (N - b) / k, and the values sum to the cardinality."""
     census: dict[int, int] = {}
     N, k = params.N, params.k
     for blocks in _region_partitions(1, N, k):

@@ -59,7 +59,6 @@ from ncindiv.mdivisible import (
     with_bottom,
 )
 from ncindiv.nc import (
-    generated_count,
     generated_rank_census,
     is_k_indivisible_i,
     is_k_indivisible_ii,
@@ -102,10 +101,10 @@ def params_with_N_at_most(max_N: int, max_k: int | None = None):
 def test_criterion_01_cardinality():
     with criterion(1, "cardinality"):
         params = KParams(2, 3)
-        assert generated_count(params) == 30
+        assert sum(generated_rank_census(params).values()) == 30
         assert len(nc_filter_oracle(params)) == 30
         for p in params_with_N_at_most(13):
-            assert generated_count(p) == nc_cardinality(p.n, p.k)
+            assert sum(generated_rank_census(p).values()) == nc_cardinality(p.n, p.k)
         assert nc_cardinality(4, 3) == 340
 
 

@@ -30,8 +30,6 @@ from ncindiv.bijections import (
     path_decompose,
     path_to_ideal,
     split_tree,
-    tree_from_text,
-    tree_to_text,
 )
 from ncindiv.counting import nc_cardinality
 from ncindiv.nc import enumerate_nc
@@ -68,13 +66,6 @@ def test_relabel_tour_refuses_a_wrong_edge_count():
         _relabel_tour((), (), KParams(1, 2))
 
 
-def test_tree_text_round_trip():
-    for tree in ((), ((), ()), (((), ()), ()), ((((),),),)):
-        assert tree_from_text(tree_to_text(tree)) == tree
-    with pytest.raises(ValueError):
-        tree_from_text("(()")
-
-
 @given(st.integers(1, 3), st.integers(0, 4), st.randoms())
 def test_dyck_round_trip_random_trees(k, size, rng):
     def random_ary(depth):
@@ -83,7 +74,7 @@ def test_dyck_round_trip_random_trees(k, size, rng):
         return tuple(random_ary(depth - 1) for _ in range(k + 1))
 
     tree = random_ary(size)
-    word = ary_to_dyck(tree, k) + "R"  # re-append the omitted leaf step
+    word = ary_to_dyck(tree) + "R"  # re-append the omitted leaf step
     assert word.count("R") == word.count("U") * k + 1
     trimmed = word[:-1]
     assert is_k_dyck(trimmed, k)

@@ -362,6 +362,11 @@ PINNED_STDOUT = {
         "55c97f2af13b82c50ad2127c165e8a8bd782e83d1ae0abef05f7f6f5ec67eb24",
     ("cambrian", "--k", "2", "--n", "4", "--format", "json"):
         "05ef59ed275d94f729885e7cbf97494cefe0747f4138f7ecbee2ca393286cf50",
+    # the largest admitted Cambrian build, and a k = 1 edge order past (1,5)
+    ("cambrian", "--k", "2", "--n", "5", "--format", "json"):
+        "f4aca158d3228ed3309999a384650ca665d9f65a909e86c049d80e3c6e0086c8",
+    ("cambrian", "--k", "1", "--n", "6", "--format", "dot"):
+        "1088ea6534535f06cf3d25256413948a818f7cfd8e4668eaa224b9d1df9e7d9d",
     # cover order of the NC posets
     ("poset", "--k", "1", "--n", "6", "--format", "dot"):
         "8b5b1af85dd3de1efeeaf6b97ac59b81d40e717810d5c2225697bfb844e8d5d5",

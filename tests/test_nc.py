@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ncindiv.counting import nc_cardinality
@@ -5,7 +7,6 @@ from ncindiv.nc import (
     NoncrossingElement,
     crossing_witness,
     enumerate_nc,
-    generated_count,
     generated_rank_census,
     is_k_indivisible_i,
     is_k_indivisible_ii,
@@ -71,8 +72,9 @@ def test_characterizations_agree_on_generated_sets():
 def test_counts_and_census():
     for k, n in ((1, 5), (2, 3), (3, 2), (2, 4)):
         params = KParams(k, n)
-        assert generated_count(params) == nc_cardinality(n, k)
-        assert sum(generated_rank_census(params).values()) == nc_cardinality(n, k)
+        census = generated_rank_census(params)
+        assert sum(census.values()) == nc_cardinality(n, k)
+        assert census == Counter(e.rank for e in enumerate_nc(params))
 
 
 def test_enumeration_is_sorted_and_bounded():

@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from ncindiv import mdivisible, poset, verify
+from ncindiv import mdivisible, nc, poset, verify
 from ncindiv.mdivisible import mdiv_sums
 from ncindiv.nc import enumerate_nc
 from ncindiv.poset import build_poset
@@ -91,6 +92,21 @@ def test_refused_range_is_refused_before_the_first_check(monkeypatch, kwargs, me
     def never(params):
         raise AssertionError(f"a check ran at {params} before the refusal")
 
-    monkeypatch.setattr(verify, "generated_count", never)
+    monkeypatch.setattr(verify, "generated_rank_census", never)
     with pytest.raises(ValueError, match=message):
         run_suite(**kwargs)
+
+
+def test_default_suite_runs_the_generator_twice_per_params(monkeypatch):
+    calls = Counter()
+    generate = nc._region_partitions
+
+    def counted(lo, hi, k):
+        if lo == 1:
+            calls[hi, k] += 1
+        return generate(lo, hi, k)
+
+    monkeypatch.setattr(nc, "_region_partitions", counted)
+    run_suite()
+    # the rank census, and enumerate_nc inside build_poset
+    assert len(calls) == 9 and set(calls.values()) == {2}
