@@ -14,8 +14,8 @@ the exit code: 0 on success, 1 when `verify` finds a failing check or an
 internal check (an AssertionError) fails, 2 on usage errors, refusals,
 unwritable output files and exhausted memory.  The size caps live in the
 layers that allocate (`nc.ENUMERATION_MAX_N`,
-`geometry.CAMBRIAN_MAX_DISSECTIONS`, the orbit caps of `hurwitz` and
-`typeb`); this module has none.
+`geometry.CAMBRIAN_MAX_DISSECTIONS`, the orbit cap of `hurwitz` and the
+`kn <= 6` limit of `typeb`); this module has none.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def cmd_nonnesting(args) -> str | Iterator[str]:
 
 def cmd_typeb_orbit(args) -> str:
     params = _params(args)
-    checks = typeb_report(params.n, params.k, max_states=args.max_states)
+    checks = typeb_report(params.n, params.k)
     record = [
         {
             "name": c.name,
@@ -336,9 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("nonnesting", cmd_nonnesting, "enumerate nonnesting order ideals",
         formats=("text", "json"))
 
-    p = add("typeb-orbit", cmd_typeb_orbit, "type B experimental report",
-            formats=("text", "json"))
-    p.add_argument("--max-states", type=int)
+    add("typeb-orbit", cmd_typeb_orbit, "type B experimental report",
+        formats=("text", "json"))
 
     p = add("verify", cmd_verify, "run the verification suite",
             kn=False, formats=("text", "json"))

@@ -15,7 +15,6 @@ one: the top argument may be any integer, the bottom must be >= 0.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def binomial(top: int, bottom: int) -> int:
@@ -47,10 +46,10 @@ def raney(n: int, p: int, r: int) -> int:
     d = n * p + r
     if d == 0:
         raise ValueError("Raney number undefined: np + r = 0")
-    value = Fraction(r, d) * binomial(d, n)
-    if value.denominator != 1:
-        raise ArithmeticError(f"Ran({n},{p},{r}) is not an integer: {value}")
-    return int(value)
+    value, rem = divmod(r * binomial(d, n), d)
+    if rem:
+        raise ArithmeticError(f"Ran({n},{p},{r}) is not an integer")
+    return value
 
 
 def catalan(n: int) -> int:
@@ -94,12 +93,13 @@ def rank_jump_count(n: int, k: int, jumps: tuple[int, ...]) -> int:
     if any(r < 0 for r in jumps):
         raise ValueError("rank jumps must be nonnegative")
     N = k * n + 1
-    value = Fraction(1, N)
+    product = 1
     for r in jumps:
-        value *= raney(r, 1 - k, N)
-    if value.denominator != 1:
+        product *= raney(r, 1 - k, N)
+    value, rem = divmod(product, N)
+    if rem:
         raise ArithmeticError(f"rank-jump count not integral for {jumps}")
-    return int(value)
+    return value
 
 
 def zeta_value(n: int, k: int, q: int) -> int:
@@ -115,10 +115,10 @@ def zeta_value(n: int, k: int, q: int) -> int:
     d = N * q + 1
     if d == 0:
         raise ValueError("zeta evaluation undefined: Nq + 1 = 0")
-    value = Fraction(q + 1, d) * binomial(N * q + n, n)
-    if value.denominator != 1:
+    value, rem = divmod((q + 1) * binomial(N * q + n, n), d)
+    if rem:
         raise ArithmeticError(f"zeta value not integral at q = {q}")
-    return int(value)
+    return value
 
 
 def mobius_invariant(n: int, k: int) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .counting import commutation_class_count
 from .hurwitz import Factorization, factorization_product, support
@@ -46,15 +47,15 @@ class Dissection:
     def positions(self) -> frozenset[tuple[int, int]]:
         return frozenset((2 * a - 1, 2 * b) for a, b in self.diagonals)
 
+    @cached_property
+    def _faces(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_split_faces(2 * self.params.N, self.positions()))
+
     def faces(self) -> tuple[tuple[int, ...], ...]:
         """The cells, as tuples of positions clockwise from the least,
-        sorted by least position.  Computed once per instance and kept
-        outside the dataclass fields, so equality and hashing ignore it."""
-        faces = self.__dict__.get("_faces")
-        if faces is None:
-            faces = tuple(_split_faces(2 * self.params.N, self.positions()))
-            object.__setattr__(self, "_faces", faces)
-        return faces
+        sorted by least position.  A cached property keeps them outside
+        the dataclass fields, so equality and hashing ignore them."""
+        return self._faces
 
     def __str__(self) -> str:
         return " | ".join(format_cycles(t) for t in theta_inverse(self))

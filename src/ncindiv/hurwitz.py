@@ -298,7 +298,9 @@ def orbit_and_class_report(params: KParams, max_states: int | None = None) -> di
 def _atom_index(atoms, query):
     """Index of each query mask among the sorted atom masks; a query
     that is not an atom raises RuntimeError."""
-    idx = atoms.searchsorted(query).clip(max=atoms.size - 1)
+    import numpy as np
+
+    idx = np.minimum(atoms.searchsorted(query), atoms.size - 1)
     if (atoms[idx] != query).any():
         raise RuntimeError("a factor support is not an atom")
     return idx

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 
@@ -67,33 +67,33 @@ class Permutation:
             inv[y - 1] = x
         return Permutation(tuple(inv))
 
+    @cached_property
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
+        seen = [False] * self.degree
+        out = []
+        for start in range(1, self.degree + 1):
+            if seen[start - 1]:
+                continue
+            cyc = [start]
+            seen[start - 1] = True
+            x = self(start)
+            while x != start:
+                cyc.append(x)
+                seen[x - 1] = True
+                x = self(x)
+            out.append(tuple(cyc))
+        return tuple(out)
+
     def cycles(self, with_fixed_points: bool = True) -> tuple[tuple[int, ...], ...]:
         """Canonical cycle decomposition: each cycle starts at its
         minimum, cycles sorted by minima.
 
-        The full decomposition is computed once per instance and kept
-        outside the dataclass fields, so equality and hashing still
-        read only the image."""
-        full = self.__dict__.get("_cycles")
-        if full is None:
-            seen = [False] * self.degree
-            out = []
-            for start in range(1, self.degree + 1):
-                if seen[start - 1]:
-                    continue
-                cyc = [start]
-                seen[start - 1] = True
-                x = self(start)
-                while x != start:
-                    cyc.append(x)
-                    seen[x - 1] = True
-                    x = self(x)
-                out.append(tuple(cyc))
-            full = tuple(out)
-            object.__setattr__(self, "_cycles", full)
+        The full decomposition is a cached property, computed once per
+        instance and kept outside the dataclass fields, so equality and
+        hashing still read only the image."""
         if with_fixed_points:
-            return full
-        return tuple(cyc for cyc in full if len(cyc) > 1)
+            return self._cycles
+        return tuple(cyc for cyc in self._cycles if len(cyc) > 1)
 
     def cycle_count(self) -> int:
         """Number of cycles including fixed points."""

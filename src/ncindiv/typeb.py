@@ -15,14 +15,13 @@ and never raise on a mismatched count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .counting import typeb_orbit_size, typeb_prefix_count, typeb_zeta_value
 from .perm import breadth_first
 
 SignedPerm = tuple[int, ...]
 
-DEFAULT_MAX_STATES = 2_000_000  # orbit cap of the lab report
+DEFAULT_MAX_STATES = 2_000_000  # default guard of hurwitz_orbit_signed
 
 
 def sp_identity(m: int) -> SignedPerm:
@@ -88,7 +87,6 @@ def all_reflections(m: int) -> list[SignedPerm]:
     return out
 
 
-@lru_cache(maxsize=4)
 def reflection_length_table(m: int) -> dict[SignedPerm, int]:
     """Distance from the identity in the full reflection generating set,
     by breadth-first search over the whole group (m <= 6)."""
@@ -126,16 +124,14 @@ class LabCheck:
         return "PASS" if self.observed == self.conjectured else "OPEN"
 
 
-def typeb_report(n: int, k: int, max_states: int | None = None) -> list[LabCheck]:
+def typeb_report(n: int, k: int) -> list[LabCheck]:
     """Orbit size, prefix census, and restricted zeta values for the
-    grouped type B factorization, against the conjectured formulas.
-    max_states=None means DEFAULT_MAX_STATES."""
+    grouped type B factorization, against the conjectured formulas."""
     m = k * n
     if m > 6:
         raise ValueError("type B lab limited to kn <= 6")
     start = grouped_factors(n, k)
-    cap = max_states if max_states is not None else DEFAULT_MAX_STATES
-    orbit = hurwitz_orbit_signed(start, max_states=cap)
+    orbit = hurwitz_orbit_signed(start)
     checks = [LabCheck("hurwitz orbit size", len(orbit), typeb_orbit_size(n, k))]
 
     prefixes: set[SignedPerm] = set()

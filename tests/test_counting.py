@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from ncindiv import counting
 from ncindiv.counting import (
     bareiss_determinant,
     binomial,
@@ -108,6 +109,20 @@ def test_zeta_specializations():
             assert zeta_value(n, k, 1) == nc_cardinality(n, k)
             assert zeta_value(n, k, 0) == 1
             assert zeta_value(n, k, -2) == mobius_invariant(n, k)
+
+
+def test_integrality_checks_fire(monkeypatch):
+    """Each closed form divides exactly and refuses a remainder; faked
+    binomials and Raney numbers make the quotients non-integral."""
+    monkeypatch.setattr(counting, "binomial", lambda top, bottom: 1)
+    with pytest.raises(ArithmeticError, match=r"Ran\(2,2,1\) is not an integer"):
+        raney(2, 2, 1)  # 1 * 1 / 5
+    for q in (1, -2):  # 2 / 4 and -1 / -5
+        with pytest.raises(ArithmeticError, match=f"zeta value not integral at q = {q}"):
+            zeta_value(2, 1, q)
+    monkeypatch.setattr(counting, "raney", lambda n, p, r: 1)
+    with pytest.raises(ArithmeticError, match="rank-jump count not integral"):
+        rank_jump_count(2, 1, (1, 1))  # 1 / 3
 
 
 def test_mdiv_closed_forms_consistency():

@@ -46,6 +46,17 @@ def test_dissection_validity():
     assert not bad.is_valid()  # wrong diagonal count
 
 
+def test_faces_are_computed_once_and_leave_equality_alone():
+    d = Dissection(KParams(1, 3), frozenset({(2, 4), (3, 4)}))
+    twin = Dissection(d.params, d.diagonals)
+    assert d.faces() is d.faces()
+    assert d.faces() == ((1, 2, 3, 8), (3, 4, 5, 8), (5, 6, 7, 8))
+    assert d == twin and hash(d) == hash(twin)
+    assert repr(d) == repr(twin)
+    assert repr(d).startswith("Dissection(params=KParams(k=1, n=3), diagonals=frozenset(")
+    assert len({d, twin}) == 1
+
+
 def test_record_format():
     d = Dissection(KParams(1, 3), frozenset({(2, 4), (3, 4)}))
     assert d.to_record() == {"two_n": 8, "diagonals": [[3, 8], [5, 8]]}

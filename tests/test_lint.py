@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ncindiv
@@ -39,3 +42,46 @@ def test_every_parameter_is_read():
         for line, name, p in unread_parameters(ast.parse(path.read_text()))
     ]
     assert unread == []
+
+
+def _decorator_name(node: ast.expr) -> str:
+    """lru_cache for @lru_cache, @lru_cache(...) and @functools.lru_cache."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def test_only_the_shared_tables_are_memoized():
+    """Derived views are cached properties and builders return fresh
+    structures; only the lookup tables shared by separate calls keep a
+    process-wide cache, and no frozen instance is written behind its
+    back."""
+    memoized, setattrs = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_decorator_name(d) in ("lru_cache", "cache") for d in node.decorator_list):
+                    memoized.append(f"{path.stem}.{node.name}")
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                setattrs.append(f"{path.name}:{node.lineno}")
+    assert sorted(memoized) == ["bijections._arc_universe", "perm._distance_table"]
+    assert setattrs == []
+
+
+def test_the_cli_import_leaves_fractions_and_decimal_out():
+    probe = "import sys, ncindiv.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    src = Path(ncindiv.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

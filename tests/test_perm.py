@@ -154,6 +154,7 @@ def test_cycles_are_computed_once_and_leave_equality_alone():
     assert w.cycles() == ((1, 3), (2, 5, 4), (6,))
     assert w.cycles(with_fixed_points=False) == ((1, 3), (2, 5, 4))
     assert w == twin and hash(w) == hash(twin)
+    assert repr(w) == repr(twin) == "Permutation(image=(3, 5, 1, 2, 4, 6))"
     assert len({w, twin}) == 1
 
 
