@@ -15,8 +15,8 @@ def main() -> None:
     for n, k in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 1)):
         print(f"\nn={n} k={k}")
         for check in typeb_report(n, k):
-            print(f"  {check.name}: observed {check.observed},"
-                  f" conjectured {check.conjectured} -> {check.status}")
+            print(f"  {check.claim}: observed {check.observed},"
+                  f" conjectured {check.closed_form} -> {check.status}")
 
 
 if __name__ == "__main__":

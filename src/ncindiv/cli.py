@@ -253,21 +253,20 @@ def cmd_nonnesting(args) -> str | Iterator[str]:
 def cmd_typeb_orbit(args) -> str:
     params = _params(args)
     checks = typeb_report(params.n, params.k)
-    record = [
-        {
-            "name": c.name,
-            "observed": c.observed,
-            "conjectured": c.conjectured,
-            "status": c.status,
-        }
-        for c in checks
-    ]
     if args.format == "json":
+        record = [
+            {
+                "name": c.claim,
+                "observed": c.observed,
+                "conjectured": c.closed_form,
+                "status": c.status,
+            }
+            for c in checks
+        ]
         return json.dumps(record, indent=2)
     return "\n".join(
-        f"{c['status']:4s} {c['name']}: observed {c['observed']}, "
-        f"conjectured {c['conjectured']}"
-        for c in record
+        f"{c.status:4s} {c.claim}: observed {c.observed}, conjectured {c.closed_form}"
+        for c in checks
     )
 
 

@@ -348,12 +348,11 @@ def build_cambrian(params: KParams) -> HasseDiagram:
             targets.append(index[rotated])
         rotations.append(sorted(targets))
     down = closure(len(dissections), ((i, j) for i, ts in enumerate(rotations) for j in ts))
-    poset = HasseDiagram.from_order(dissections, down)
     # a rotation i -> j is a cover unless another rotation t of i has t < j
-    poset.covers = tuple(
+    covers = tuple(
         (i, j)
         for i, ts in enumerate(rotations)
         for j in ts
         if not any(down[j] >> t & 1 for t in ts if t != j)
     )
-    return poset
+    return HasseDiagram(tuple(dissections), covers, down=down)

@@ -79,7 +79,7 @@ def build_mdiv_poset(params: KParams, m: int) -> HasseDiagram:
     base = build_poset(params)
     quotient, top = _quotient(base), base.top()
     indices = base.multichains(m)
-    chains = [MChain(tuple(base.elements[i].perm for i in c), params) for c in indices]
+    chains = tuple(MChain(tuple(base.elements[i].perm for i in c), params) for c in indices)
     rank = tuple(base.rank[c[0]] for c in indices)
     deltas = [list(map(quotient, c, c[1:] + (top,))) for c in indices]
     # with_delta[i][f]: chains whose delta d_{i+1} is base element f
@@ -94,16 +94,16 @@ def build_mdiv_poset(params: KParams, m: int) -> HasseDiagram:
         for f, mask in enumerate(masks):
             for g in _bits(base.down[f]):
                 row[g] |= mask
-    down = [reduce(and_, (above[i][g] for i, g in enumerate(row))) for row in deltas]
-    return HasseDiagram.from_order(chains, down, rank)
+    down = tuple(reduce(and_, (above[i][g] for i, g in enumerate(row))) for row in deltas)
+    return HasseDiagram(chains, rank=rank, down=down)
 
 
 def with_bottom(poset: HasseDiagram) -> HasseDiagram:
     """The same poset with one artificial bottom element, "0", adjoined
     as element 0: every mask shifts up one place and gains the bottom."""
-    return HasseDiagram.from_order(
+    return HasseDiagram(
         ("0",) + tuple(poset.elements),
-        (1,) + tuple(d << 1 | 1 for d in poset.down),
+        down=(1,) + tuple(d << 1 | 1 for d in poset.down),
     )
 
 
@@ -114,12 +114,10 @@ def with_merged_minima(poset: HasseDiagram) -> HasseDiagram:
     element 0."""
     keep = [i for i, d in enumerate(poset.down) if d != 1 << i]
     bit = {old: 1 << new for new, old in enumerate(keep, 1)}
-    down = [1] + [
+    down = (1,) + tuple(
         1 | sum(bit[i] for i in _bits(poset.down[j]) if i in bit) for j in keep
-    ]
-    return HasseDiagram.from_order(
-        ("min",) + tuple(poset.elements[i] for i in keep), down
     )
+    return HasseDiagram(("min",) + tuple(poset.elements[i] for i in keep), down=down)
 
 
 def mdiv_mobius_hat_brute(params: KParams, m: int) -> int:

@@ -26,29 +26,27 @@ def _bits(mask: int):
 
 
 class HasseDiagram:
-    """A finite poset given by its elements and cover relation.
+    """A finite poset given by its elements and its order.
 
-    A diagram stores only what its builder gave and derives the other
-    views the first time they are read.  HasseDiagram(elements, covers)
-    keeps the covers, index pairs (i, j) meaning element i is covered by
-    element j, in the builder's order, which to_dot keeps; from_order
-    keeps the weakly-below masks.  down[i] is the bitmask of the
-    elements weakly below i, the closure of the covers, and every order
-    question is answered from it; covers read off down come in j-major
-    order.  rank is present only for graded posets.
+    A diagram stores only the views its builder gave and derives the
+    other the first time it is read; a builder gives at least one.
+    covers holds index pairs (i, j) meaning element i is covered by
+    element j, in the builder's order, which to_dot keeps.  down[i] is
+    the bitmask of the elements weakly below i, the closure of the
+    covers, and every order question is answered from it; covers read
+    off down come in j-major order.  rank is present only for graded
+    posets.
     """
 
-    def __init__(self, elements, covers, rank=None) -> None:
+    def __init__(self, elements, covers=None, rank=None, down=None) -> None:
+        if covers is None and down is None:
+            raise ValueError("a Hasse diagram needs its covers or its down masks")
         self.elements = elements
-        self.covers = covers
         self.rank = rank
-
-    @classmethod
-    def from_order(cls, elements, down, rank=None) -> HasseDiagram:
-        """The diagram of the order whose weakly-below masks are down."""
-        poset = cls.__new__(cls)
-        poset.elements, poset.down, poset.rank = tuple(elements), tuple(down), rank
-        return poset
+        if covers is not None:
+            self.covers = covers
+        if down is not None:
+            self.down = down
 
     @cached_property
     def down(self) -> tuple[int, ...]:

@@ -14,10 +14,13 @@ and never raise on a mismatched count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .counting import typeb_orbit_size, typeb_prefix_count, typeb_zeta_value
 from .perm import breadth_first
+
+if TYPE_CHECKING:
+    from .verify import Check
 
 SignedPerm = tuple[int, ...]
 
@@ -113,27 +116,16 @@ def hurwitz_orbit_signed(
     return set(breadth_first(start, _hurwitz_moves, max_states))
 
 
-@dataclass(frozen=True)
-class LabCheck:
-    name: str
-    observed: object
-    conjectured: object
-
-    @property
-    def status(self) -> str:
-        return "PASS" if self.observed == self.conjectured else "OPEN"
-
-
-def typeb_report(n: int, k: int) -> list[LabCheck]:
+def typeb_report(n: int, k: int) -> list[Check]:
     """Orbit size, prefix census, and restricted zeta values for the
-    grouped type B factorization, against the conjectured formulas."""
+    grouped type B factorization: conjectural checks, PASS or OPEN,
+    of each conjectured formula against its observation."""
+    from .verify import Check  # verify imports this module at load
+
     m = k * n
     if m > 6:
         raise ValueError("type B lab limited to kn <= 6")
-    start = grouped_factors(n, k)
-    orbit = hurwitz_orbit_signed(start)
-    checks = [LabCheck("hurwitz orbit size", len(orbit), typeb_orbit_size(n, k))]
-
+    orbit = hurwitz_orbit_signed(grouped_factors(n, k))
     prefixes: set[SignedPerm] = set()
     for f in orbit:
         acc = sp_identity(m)
@@ -141,9 +133,6 @@ def typeb_report(n: int, k: int) -> list[LabCheck]:
         for t in f:
             acc = sp_compose(acc, t)
             prefixes.add(acc)
-    checks.append(
-        LabCheck("prefix census", len(prefixes), typeb_prefix_count(n, k))
-    )
 
     # u <= v iff l(u) + l(u^-1 v) = l(v).  Z(q) = number of (q-1)-element
     # multichains: the elements at q = 2, the comparable pairs at q = 3
@@ -153,10 +142,12 @@ def typeb_report(n: int, k: int) -> list[LabCheck]:
     for u in prefixes:
         inv, lu = sp_inverse(u), table[u]
         pairs += sum(lu + table[sp_compose(inv, v)] == lv for v, lv in lengths)
-    for q, observed in ((2, len(prefixes)), (3, pairs)):
-        checks.append(
-            LabCheck(
-                f"restricted zeta at q={q}", observed, typeb_zeta_value(n, k, q)
-            )
+    return [
+        Check(claim, conjectured, observed, conjectural=True)
+        for claim, conjectured, observed in (
+            ("hurwitz orbit size", typeb_orbit_size(n, k), len(orbit)),
+            ("prefix census", typeb_prefix_count(n, k), len(prefixes)),
+            ("restricted zeta at q=2", typeb_zeta_value(n, k, 2), len(prefixes)),
+            ("restricted zeta at q=3", typeb_zeta_value(n, k, 3), pairs),
         )
-    return checks
+    ]

@@ -9,7 +9,7 @@ data, not an error, and never fails a run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bijections import enumerate_ideals, nc_to_nn, nn_to_nc
 from .counting import (
@@ -64,6 +64,66 @@ def _params_in_range(max_n: int, max_k: int):
             yield KParams(k, n)
 
 
+def _claims(params: KParams, max_states: int | None):
+    """(claim, closed form, observed) for every claim at one (k, n), in
+    report order.  Each layer runs just before its first claim, so the
+    layers run, and can raise, in the order of the report."""
+    k, n = params.k, params.n
+    tag = f"k={k},n={n}"
+
+    census = generated_rank_census(params)
+    yield f"cardinality [{tag}]", nc_cardinality(n, k), sum(census.values())
+    yield (
+        f"rank census [{tag}]",
+        {r: nc_rank_count(n, k, r) for r in range(n + 1)},
+        {r: census.get(r, 0) for r in range(n + 1)},
+    )
+
+    poset = build_poset(params)
+    yield f"maximal chains [{tag}]", chain_count(n, k), poset.maximal_chain_count()
+    for q in (1, 2, 3):
+        yield f"zeta at q={q} [{tag}]", zeta_value(n, k, q), poset.multichain_count(q)
+    yield f"Mobius invariant [{tag}]", mobius_invariant(n, k), poset.mobius_invariant()
+
+    report = orbit_and_class_report(params, max_states=max_states)
+    yield f"Hurwitz transitivity [{tag}]", chain_count(n, k), report["orbit_size"]
+    yield (
+        f"commutation classes [{tag}]",
+        commutation_class_count(n, k),
+        report["class_count"],
+    )
+    yield (
+        f"determinant [{tag}]",
+        nc_cardinality(n, k),
+        bareiss_determinant(nc_matrix(n, k)),
+    )
+
+    ideals = enumerate_ideals(params)
+    yield f"nonnesting ideal count [{tag}]", nc_cardinality(n, k), len(ideals)
+    yield (
+        f"nonnesting round trip [{tag}]",
+        True,
+        all(nc_to_nn(nn_to_nc(ideal)) == ideal for ideal in ideals),
+    )
+
+    sums = mdiv_sums(poset, 3)
+    for m in (2, 3):
+        mtag = f"{tag},m={m}"
+        size, pairs, mobius_hat, mobius_bar = sums[m - 1]
+        yield f"m-divisible cardinality [{mtag}]", mdiv_cardinality(n, k, m), size
+        yield f"m-divisible zeta at q=2 [{mtag}]", mdiv_zeta_value(n, k, m, 2), pairs
+        yield (
+            f"m-divisible Mobius (bottom adjoined) [{mtag}]",
+            mdiv_mobius_hat(n, k, m),
+            mobius_hat,
+        )
+        yield (
+            f"m-divisible Mobius (minima merged) [{mtag}]",
+            mdiv_mobius_bar(n, k, m),
+            mobius_bar,
+        )
+
+
 def run_suite(max_n: int = 3, max_k: int = 3, max_states: int | None = None) -> list[Check]:
     """The full desk-scale suite over all (k, n) with k <= max_k and
     n <= max_n.  Defaults keep the run in the seconds range.  A range
@@ -76,132 +136,15 @@ def run_suite(max_n: int = 3, max_k: int = 3, max_states: int | None = None) -> 
         check_orbit_size(params, max_states)
     checks: list[Check] = []
     for params in _params_in_range(max_n, max_k):
-        k, n = params.k, params.n
-        tag = f"k={k},n={n}"
-
-        census = generated_rank_census(params)
-        checks.append(
-            Check(
-                f"cardinality [{tag}]",
-                nc_cardinality(n, k),
-                sum(census.values()),
-            )
-        )
-        checks.append(
-            Check(
-                f"rank census [{tag}]",
-                {r: nc_rank_count(n, k, r) for r in range(n + 1)},
-                {r: census.get(r, 0) for r in range(n + 1)},
-            )
-        )
-
-        poset = build_poset(params)
-        checks.append(
-            Check(
-                f"maximal chains [{tag}]",
-                chain_count(n, k),
-                poset.maximal_chain_count(),
-            )
-        )
-        for q in (1, 2, 3):
-            checks.append(
-                Check(
-                    f"zeta at q={q} [{tag}]",
-                    zeta_value(n, k, q),
-                    poset.multichain_count(q),
-                )
-            )
-        checks.append(
-            Check(
-                f"Mobius invariant [{tag}]",
-                mobius_invariant(n, k),
-                poset.mobius_invariant(),
-            )
-        )
-
-        report = orbit_and_class_report(params, max_states=max_states)
-        checks.append(
-            Check(
-                f"Hurwitz transitivity [{tag}]",
-                chain_count(n, k),
-                report["orbit_size"],
-            )
-        )
-        checks.append(
-            Check(
-                f"commutation classes [{tag}]",
-                commutation_class_count(n, k),
-                report["class_count"],
-            )
-        )
-
-        checks.append(
-            Check(
-                f"determinant [{tag}]",
-                nc_cardinality(n, k),
-                bareiss_determinant(nc_matrix(n, k)),
-            )
-        )
-
-        ideals = enumerate_ideals(params)
-        checks.append(
-            Check(
-                f"nonnesting ideal count [{tag}]",
-                nc_cardinality(n, k),
-                len(ideals),
-            )
-        )
-        round_trip = all(nc_to_nn(nn_to_nc(ideal)) == ideal for ideal in ideals)
-        checks.append(
-            Check(f"nonnesting round trip [{tag}]", True, round_trip)
-        )
-
-        sums = mdiv_sums(poset, 3)
-        for m in (2, 3):
-            mtag = f"{tag},m={m}"
-            size, pairs, mobius_hat, mobius_bar = sums[m - 1]
-            checks.append(
-                Check(
-                    f"m-divisible cardinality [{mtag}]",
-                    mdiv_cardinality(n, k, m),
-                    size,
-                )
-            )
-            checks.append(
-                Check(
-                    f"m-divisible zeta at q=2 [{mtag}]",
-                    mdiv_zeta_value(n, k, m, 2),
-                    pairs,
-                )
-            )
-            checks.append(
-                Check(
-                    f"m-divisible Mobius (bottom adjoined) [{mtag}]",
-                    mdiv_mobius_hat(n, k, m),
-                    mobius_hat,
-                )
-            )
-            checks.append(
-                Check(
-                    f"m-divisible Mobius (minima merged) [{mtag}]",
-                    mdiv_mobius_bar(n, k, m),
-                    mobius_bar,
-                )
-            )
+        checks += (Check(*c) for c in _claims(params, max_states))
 
     # experimental type B comparisons: PASS or OPEN, never FAIL
     for params in _params_in_range(max_n, max_k):
         k, n = params.k, params.n
-        if k * n > 4:
-            continue
-        for lab in typeb_report(n, k):
-            checks.append(
-                Check(
-                    f"type B {lab.name} [k={k},n={n}]",
-                    lab.conjectured,
-                    lab.observed,
-                    conjectural=True,
-                )
+        if k * n <= 4:
+            checks += (
+                replace(c, claim=f"type B {c.claim} [k={k},n={n}]")
+                for c in typeb_report(n, k)
             )
     return checks
 

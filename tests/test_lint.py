@@ -54,9 +54,9 @@ def _decorator_name(node: ast.expr) -> str:
 def test_only_the_shared_tables_are_memoized():
     """Derived views are cached properties and builders return fresh
     structures; only the lookup tables shared by separate calls keep a
-    process-wide cache, and no frozen instance is written behind its
-    back."""
-    memoized, setattrs = [], []
+    process-wide cache, no frozen instance is written behind its back,
+    and no instance is made past its constructor."""
+    memoized, setattrs, news = [], [], []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -69,8 +69,15 @@ def test_only_the_shared_tables_are_memoized():
                 and node.value.id == "object"
             ):
                 setattrs.append(f"{path.name}:{node.lineno}")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__new__"
+            ):
+                news.append(f"{path.name}:{node.lineno}")
     assert sorted(memoized) == ["bijections._arc_universe", "perm._distance_table"]
     assert setattrs == []
+    assert news == []
 
 
 def test_the_cli_import_leaves_fractions_and_decimal_out():

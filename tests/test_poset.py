@@ -69,7 +69,7 @@ def test_closure_rejects_cycles():
 
 def test_transitive_reduction_drops_implied_edges():
     edges = {(0, 1), (1, 2), (0, 2)}
-    assert HasseDiagram.from_order(range(3), closure(3, edges)).covers == ((0, 1), (1, 2))
+    assert HasseDiagram(range(3), down=closure(3, edges)).covers == ((0, 1), (1, 2))
 
 
 def test_multichain_count_is_exact_past_int64():
@@ -182,7 +182,7 @@ def random_posets(draw):
         edges |= {(0, i) for i in range(1, size)}
     if draw(st.booleans()):
         edges |= {(i, size - 1) for i in range(size - 1)}
-    return HasseDiagram.from_order(range(size), closure(size, edges))
+    return HasseDiagram(range(size), down=closure(size, edges))
 
 
 @given(random_posets())
@@ -285,6 +285,11 @@ def test_multichains_match_brute_force_on_random_posets(poset):
 @pytest.mark.parametrize("k, n", ORACLE_POSET_PARAMS)
 def test_multichains_match_brute_force_on_nc_posets(k, n):
     assert_multichains_match_brute_force(build_poset(KParams(k, n)))
+
+
+def test_a_diagram_needs_covers_or_down():
+    with pytest.raises(ValueError):
+        HasseDiagram(("a",))
 
 
 def test_empty_diagram():
