@@ -45,12 +45,11 @@ from .mdivisible import build_mdiv_poset
 from .nc import enumerate_nc
 from .perm import KParams
 from .poset import build_poset
-from .typeb import typeb_report
-from .verify import format_report, run_suite, suite_report
+from .verify import format_report, run_suite, suite_report, typeb_checks
 
 
 class ChecksFailed(Exception):
-    """Raised by cmd_verify, with its report as the one argument, when a
+    """Raised by _report, with the report as the one argument, when a
     check fails: main writes the report and exits 1."""
 
 
@@ -88,16 +87,30 @@ def _params(args) -> KParams:
     return KParams(args.k, args.n)
 
 
+def _printable(value: int) -> int:
+    """value, refused unless it prints: str and json.dumps refuse an
+    integer of more than sys.get_int_max_str_digits() digits with advice
+    meant for the programmer, not for the command line."""
+    try:
+        str(value)
+    except ValueError:
+        raise ValueError(
+            f"the result has more than {sys.get_int_max_str_digits()} digits, "
+            "the limit sys.get_int_max_str_digits() sets on printing an integer"
+        ) from None
+    return value
+
+
 def cmd_count(args) -> str:
     params = _params(args)
     if args.jumps is not None:
         jumps = tuple(int(x) for x in args.jumps.split(","))
-        return str(rank_jump_count(params.n, params.k, jumps))
+        return str(_printable(rank_jump_count(params.n, params.k, jumps)))
     if args.rank is not None:
-        return str(nc_rank_count(params.n, params.k, args.rank))
+        return str(_printable(nc_rank_count(params.n, params.k, args.rank)))
     if args.m is not None:
-        return str(mdiv_cardinality(params.n, params.k, args.m))
-    return str(nc_cardinality(params.n, params.k))
+        return str(_printable(mdiv_cardinality(params.n, params.k, args.m)))
+    return str(_printable(nc_cardinality(params.n, params.k)))
 
 
 def cmd_enumerate(args) -> str:
@@ -136,23 +149,23 @@ def cmd_poset(args) -> str:
 
 def cmd_chains(args) -> str:
     params = _params(args)
-    return str(chain_count(params.n, params.k))
+    return str(_printable(chain_count(params.n, params.k)))
 
 
 def cmd_zeta(args) -> str:
     params = _params(args)
     if args.m is not None:
-        return str(mdiv_zeta_value(params.n, params.k, args.m, args.q))
-    return str(zeta_value(params.n, params.k, args.q))
+        return str(_printable(mdiv_zeta_value(params.n, params.k, args.m, args.q)))
+    return str(_printable(zeta_value(params.n, params.k, args.q)))
 
 
 def cmd_mobius(args) -> str:
     params = _params(args)
     if args.m is None:
-        return str(mobius_invariant(params.n, params.k))
+        return str(_printable(mobius_invariant(params.n, params.k)))
     record = {
-        "bottom_adjoined": mdiv_mobius_hat(params.n, params.k, args.m),
-        "minima_merged": mdiv_mobius_bar(params.n, params.k, args.m),
+        "bottom_adjoined": _printable(mdiv_mobius_hat(params.n, params.k, args.m)),
+        "minima_merged": _printable(mdiv_mobius_bar(params.n, params.k, args.m)),
     }
     if args.format == "json":
         return json.dumps(record, indent=2)
@@ -250,35 +263,25 @@ def cmd_nonnesting(args) -> str | Iterator[str]:
     return "\n".join(p for p, _counts in rows)
 
 
+def _report(checks, args) -> str:
+    """verify's report on checks, in the --format asked for; raises
+    ChecksFailed with it when a check fails."""
+    report = suite_report(checks)
+    text = format_report(report, as_json=args.format == "json")
+    if report["failed"]:
+        raise ChecksFailed(text)
+    return text
+
+
 def cmd_typeb_orbit(args) -> str:
-    params = _params(args)
-    checks = typeb_report(params.n, params.k)
-    if args.format == "json":
-        record = [
-            {
-                "name": c.claim,
-                "observed": c.observed,
-                "conjectured": c.closed_form,
-                "status": c.status,
-            }
-            for c in checks
-        ]
-        return json.dumps(record, indent=2)
-    return "\n".join(
-        f"{c.status:4s} {c.claim}: observed {c.observed}, conjectured {c.closed_form}"
-        for c in checks
-    )
+    return _report(typeb_checks(_params(args)), args)
 
 
 def cmd_verify(args) -> str:
     checks = run_suite(
         max_n=args.max_n, max_k=args.max_k, max_states=args.max_states
     )
-    report = suite_report(checks)
-    text = format_report(report, as_json=args.format == "json")
-    if report["failed"]:
-        raise ChecksFailed(text)
-    return text
+    return _report(checks, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

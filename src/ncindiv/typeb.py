@@ -8,19 +8,14 @@ factors of the Coxeter word s_0 s_1 ... s_{kn-1} gives an n-factor
 factorization whose Hurwitz orbit, prefix census, and restricted-order
 zeta values are compared against conjectured product formulas.
 
-Everything here is report-only: checks return PASS or OPEN statuses
-and never raise on a mismatched count.
+Everything here is report-only: the report pairs each conjectured
+count with its observation and never raises on a mismatch.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .counting import typeb_orbit_size, typeb_prefix_count, typeb_zeta_value
 from .perm import breadth_first
-
-if TYPE_CHECKING:
-    from .verify import Check
 
 SignedPerm = tuple[int, ...]
 
@@ -116,12 +111,10 @@ def hurwitz_orbit_signed(
     return set(breadth_first(start, _hurwitz_moves, max_states))
 
 
-def typeb_report(n: int, k: int) -> list[Check]:
+def typeb_report(n: int, k: int) -> list[tuple[str, int, int]]:
     """Orbit size, prefix census, and restricted zeta values for the
-    grouped type B factorization: conjectural checks, PASS or OPEN,
-    of each conjectured formula against its observation."""
-    from .verify import Check  # verify imports this module at load
-
+    grouped type B factorization, each as a (claim, conjectured,
+    observed) triple."""
     m = k * n
     if m > 6:
         raise ValueError("type B lab limited to kn <= 6")
@@ -143,11 +136,8 @@ def typeb_report(n: int, k: int) -> list[Check]:
         inv, lu = sp_inverse(u), table[u]
         pairs += sum(lu + table[sp_compose(inv, v)] == lv for v, lv in lengths)
     return [
-        Check(claim, conjectured, observed, conjectural=True)
-        for claim, conjectured, observed in (
-            ("hurwitz orbit size", typeb_orbit_size(n, k), len(orbit)),
-            ("prefix census", typeb_prefix_count(n, k), len(prefixes)),
-            ("restricted zeta at q=2", typeb_zeta_value(n, k, 2), len(prefixes)),
-            ("restricted zeta at q=3", typeb_zeta_value(n, k, 3), pairs),
-        )
+        ("hurwitz orbit size", typeb_orbit_size(n, k), len(orbit)),
+        ("prefix census", typeb_prefix_count(n, k), len(prefixes)),
+        ("restricted zeta at q=2", typeb_zeta_value(n, k, 2), len(prefixes)),
+        ("restricted zeta at q=3", typeb_zeta_value(n, k, 3), pairs),
     ]

@@ -9,7 +9,7 @@ data, not an error, and never fails a run.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .bijections import enumerate_ideals, nc_to_nn, nn_to_nc
 from .counting import (
@@ -124,6 +124,16 @@ def _claims(params: KParams, max_states: int | None):
         )
 
 
+def typeb_checks(params: KParams) -> list[Check]:
+    """The type B lab's claims at one (k, n), as conjectural checks:
+    PASS or OPEN, never FAIL."""
+    tag = f"k={params.k},n={params.n}"
+    return [
+        Check(f"type B {claim} [{tag}]", conjectured, observed, conjectural=True)
+        for claim, conjectured, observed in typeb_report(params.n, params.k)
+    ]
+
+
 def run_suite(max_n: int = 3, max_k: int = 3, max_states: int | None = None) -> list[Check]:
     """The full desk-scale suite over all (k, n) with k <= max_k and
     n <= max_n.  Defaults keep the run in the seconds range.  A range
@@ -137,15 +147,9 @@ def run_suite(max_n: int = 3, max_k: int = 3, max_states: int | None = None) -> 
     checks: list[Check] = []
     for params in _params_in_range(max_n, max_k):
         checks += (Check(*c) for c in _claims(params, max_states))
-
-    # experimental type B comparisons: PASS or OPEN, never FAIL
     for params in _params_in_range(max_n, max_k):
-        k, n = params.k, params.n
-        if k * n <= 4:
-            checks += (
-                replace(c, claim=f"type B {c.claim} [k={k},n={n}]")
-                for c in typeb_report(n, k)
-            )
+        if params.k * params.n <= 4:
+            checks += typeb_checks(params)
     return checks
 
 

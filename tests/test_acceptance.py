@@ -72,8 +72,8 @@ from ncindiv.typeb import (
     hurwitz_orbit_signed,
     sp_compose,
     sp_identity,
-    typeb_report,
 )
+from ncindiv.verify import typeb_checks
 
 
 @contextmanager
@@ -320,7 +320,7 @@ def test_criterion_13_type_b_lab():
                 for t in f:
                     acc = sp_compose(acc, t)
                 assert acc == target  # product preserved across the orbit
-            checks = typeb_report(n, k)
+            checks = typeb_checks(KParams(k, n))
             assert len(checks) == 4
             for check in checks:
                 assert check.status in ("PASS", "OPEN")

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 import ncindiv
 from ncindiv import bijections, cli, verify
 from ncindiv.cli import main
+from ncindiv.counting import nc_cardinality
 
 
 def run(capsys, *argv):
@@ -96,9 +97,56 @@ def test_bijection_and_nonnesting(capsys):
 def test_typeb_subcommand(capsys):
     code, out = run(capsys, "typeb-orbit", "--k", "2", "--n", "2", "--format", "json")
     assert code == 0
-    record = json.loads(out)
-    assert {c["name"] for c in record} >= {"hurwitz orbit size", "prefix census"}
-    assert all(c["status"] in ("PASS", "OPEN") for c in record)
+    report = json.loads(out)
+    assert {c["claim"] for c in report["checks"]} >= {
+        "type B hurwitz orbit size [k=2,n=2]",
+        "type B prefix census [k=2,n=2]",
+    }
+    assert all(c["status"] in ("PASS", "OPEN") for c in report["checks"])
+    assert report["total"] == 4 and report["failed"] == 0
+
+
+@pytest.mark.parametrize(
+    "k, n", [(k, n) for k in range(1, 5) for n in range(1, 5) if k * n <= 4]
+)
+def test_typeb_orbit_prints_the_lines_of_verify(capsys, k, n):
+    code, out = run(capsys, "typeb-orbit", "--k", str(k), "--n", str(n))
+    assert code == 0
+    *lines, total = out.splitlines()
+    assert total.startswith("total 4: ")
+    code, out = run(capsys, "verify", "--max-n", str(n), "--max-k", str(k))
+    assert code == 0
+    tag = f" [k={k},n={n}]: "
+    assert lines == [
+        line for line in out.splitlines() if " type B " in line and tag in line
+    ]
+    assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--k", "1", "--n", "20000"),
+        ("chains", "--k", "1", "--n", "5000"),
+        ("zeta", "--k", "1", "--n", "20000", "--q", "3"),
+        ("mobius", "--k", "1", "--n", "20000", "--m", "2", "--format", "json"),
+    ],
+)
+def test_a_result_too_long_to_print_is_a_refusal(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        f"error: the result has more than {sys.get_int_max_str_digits()} digits, "
+        "the limit sys.get_int_max_str_digits() sets on printing an integer\n"
+    )
+
+
+def test_a_long_result_within_the_limit_prints(capsys):
+    code, out = run(capsys, "count", "--k", "1", "--n", "5000")
+    assert code == 0
+    assert int(out) == nc_cardinality(5000, 1)
+    assert len(out) == 3006 + 1  # digits and newline, below the default 4,300
 
 
 def test_verify_subcommand(capsys):
@@ -329,9 +377,9 @@ PINNED_STDOUT = {
     ("cambrian", "--k", "2", "--n", "3", "--format", "json"):
         "68cbcef4e34b5908a6868b3acd2047c869bf60de243a3fcdf479cdc8a1cd0d2b",
     ("typeb-orbit", "--k", "1", "--n", "4"):
-        "0b276daf3ec272c508ef2e2889fcb8c27c4df8923ec40db7209f4be34d0e95d0",
+        "09e4bd5e82a7d8d0ccd957bcff217c7af2071932455a115031c6f5e1ab6cd70a",
     ("typeb-orbit", "--k", "2", "--n", "2", "--format", "json"):
-        "7f8f75dabe30eb12f1317c5c48d1a0df0cf766ee3b23678efdf0e5fdf7677988",
+        "d7caa5bc4e3a0f71b9d492f67a18b6762d8c75ed46dc5448fdba0ebbcadfc0da",
     ("enumerate", "--k", "2", "--n", "3", "--format", "json"):
         "c9d26f1e4516a4ba3e415b69a6778374c5e162d5b1dadef9db3c8e84bc9a613b",
     ("poset", "--k", "2", "--n", "3", "--format", "json"):

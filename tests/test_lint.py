@@ -92,3 +92,35 @@ def test_the_cli_import_leaves_fractions_and_decimal_out():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+CHECK_FIELDS = {"claim", "closed_form", "observed", "conjectural", "status"}
+
+
+def _imports_verify(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        names = [module] + [f"{module}.{a.name}" for a in node.names]
+    else:
+        return False
+    return any(name.split(".")[-1] == "verify" for name in names)
+
+
+def test_only_verify_builds_and_reads_checks():
+    """verify.Check is built and read in verify alone, and no layer
+    imports verify: the CLI, its one importer, prints verify's reports."""
+    importers, uses = set(), []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _imports_verify(node):
+                importers.add(path.stem)
+            if path.stem != "verify" and (
+                isinstance(node, ast.Name) and node.id == "Check"
+                or isinstance(node, ast.alias) and node.name == "Check"
+                or isinstance(node, ast.Attribute) and node.attr in CHECK_FIELDS
+            ):
+                uses.append(f"{path.name}:{node.lineno}")
+    assert importers == {"cli"}
+    assert uses == []

@@ -1,5 +1,6 @@
 import pytest
 
+from ncindiv.perm import KParams
 from ncindiv.typeb import (
     all_reflections,
     grouped_factors,
@@ -11,6 +12,7 @@ from ncindiv.typeb import (
     sp_inverse,
     typeb_report,
 )
+from ncindiv.verify import typeb_checks
 
 
 def test_signed_permutation_algebra():
@@ -72,17 +74,34 @@ def test_orbit_cap():
 
 def test_reports_are_structurally_complete():
     for n, k in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1), (4, 1), (1, 4)):
-        checks = typeb_report(n, k)
-        claims = [c.claim for c in checks]
+        claims = [claim for claim, _conjectured, _observed in typeb_report(n, k)]
         assert claims == [
             "hurwitz orbit size",
             "prefix census",
             "restricted zeta at q=2",
             "restricted zeta at q=3",
         ]
+        checks = typeb_checks(KParams(k, n))
+        assert [c.claim for c in checks] == [
+            f"type B {claim} [k={k},n={n}]" for claim in claims
+        ]
         # a lab mismatch is OPEN, so it can never fail verify
         assert all(c.conjectural for c in checks)
         assert all(c.status in ("PASS", "OPEN") for c in checks)
+
+
+@pytest.mark.parametrize(
+    "n, k, observed",
+    [
+        (5, 1, [3125, 252, 252, 3003]),
+        (1, 5, [1, 2, 2, 3]),
+    ],
+)
+def test_observations_at_kn_5(n, k, observed):
+    report = typeb_report(n, k)
+    assert [o for _claim, _conjectured, o in report] == observed
+    # every conjectured formula holds here too
+    assert [c for _claim, c, _observed in report] == observed
 
 
 def test_size_bound_enforced():
